@@ -121,15 +121,6 @@ class ForkJob:
                     f"{self.kind} child failed: {reason}", reason=reason
                 )
 
-    def _child_entries(self):
-        from repro.kvs.store import _read_paged
-
-        cache: dict[int, bytes] = {}
-        return (
-            (key, _read_paged(self.child.mm, ref.vaddr, ref.length, cache))
-            for key, ref in self._table.items()
-        )
-
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down after a failure (or a watchdog kill)."""
         if reason is not None and self.failure_reason is None:
@@ -192,7 +183,9 @@ class SnapshotJob(ForkJob):
             assert self.report is not None
             return self.report
         self._drain_child()
-        snapshot = rdb.dump(self._child_entries())
+        snapshot = rdb.dump(
+            self.engine.store.items_from(self.child.mm, self._table)
+        )
         try:
             persist_ns = self.engine.disk.write(snapshot.size, what="rdb")
         except Exception:
@@ -231,7 +224,11 @@ class RewriteJob(ForkJob):
         if self.done:
             return self.engine.aof
         self._drain_child()
-        compact = list(aof_mod.compact_commands(self._child_entries()))
+        compact = list(
+            aof_mod.compact_commands(
+                self.engine.store.items_from(self.child.mm, self._table)
+            )
+        )
         try:
             self.engine.disk.write(
                 sum(r.encoded_size() for r in compact), what="aof-rewrite"

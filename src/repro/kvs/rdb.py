@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from repro.errors import CorruptSnapshotError
 
 MAGIC = b"SRDB"
+_pack_u32 = struct.Struct("<I").pack
 
 
 def _digest(payload: bytes) -> str:
@@ -41,16 +42,17 @@ class SnapshotFile:
 
 def dump(entries: Iterable[tuple[bytes, bytes]]) -> SnapshotFile:
     """Serialize (key, value) pairs into a snapshot file."""
-    parts = [MAGIC, b"\x00\x00\x00\x00"]  # count patched afterwards
+    parts = [MAGIC, b""]  # parts[1]: the count, set once known
+    append = parts.append
     count = 0
     for key, value in entries:
-        parts.append(struct.pack("<I", len(key)))
-        parts.append(key)
-        parts.append(struct.pack("<I", len(value)))
-        parts.append(value)
+        append(_pack_u32(len(key)))
+        append(key)
+        append(_pack_u32(len(value)))
+        append(value)
         count += 1
+    parts[1] = _pack_u32(count)
     payload = b"".join(parts)
-    payload = MAGIC + struct.pack("<I", count) + payload[8:]
     return SnapshotFile(
         payload=payload,
         entry_count=count,

@@ -14,8 +14,10 @@ from typing import Iterator, Optional
 
 from repro.errors import KvsError
 from repro.kvs.allocator import JemallocArena
-from repro.mem.address_space import AddressSpace
-from repro.units import PAGE_SIZE, page_align_down
+from repro.mem.address_space import AddressSpace, table_run_bounds
+from repro.units import PAGE_SIZE
+
+_PAGE_MASK = ~(PAGE_SIZE - 1)
 
 
 @dataclass(frozen=True)
@@ -93,21 +95,68 @@ class KvStore:
         """Iterate over keys (unspecified order, like SCAN)."""
         return iter(self._table)
 
-    def items_from(self, mm: AddressSpace) -> Iterator[tuple[bytes, bytes]]:
+    def items_from(
+        self,
+        mm: AddressSpace,
+        table: Optional[dict[bytes, ValueRef]] = None,
+    ) -> Iterator[tuple[bytes, bytes]]:
         """Read every (key, value) pair through *another* address space.
 
         This is how the forked child serializes the snapshot: it walks the
-        key table it inherited and reads the values out of its own memory
-        image, which CoW keeps at the fork-time state.
+        key table it inherited (``table``; the live one by default) and
+        reads the values out of its own memory image, which CoW keeps at
+        the fork-time state.  It is the one keyspace walk: BGSAVE,
+        BGREWRITEAOF and the failover AOF rebuild all use it.
 
-        Values pack many to a page, so the walk reads each backing page
-        through ``mm`` once and slices values out of a local page cache —
-        the first value touching a page still drives the fault/CoW
-        machinery exactly as a direct read would.
+        Values pack many to a page, so each backing page is read once, in
+        the order the key walk first touches it, so faults happen in the
+        same order as a value-by-value walk.  Consecutive first touches
+        inside one PTE table are read together through
+        :meth:`~repro.mem.address_space.AddressSpace.read_pages`, and the
+        walk streams: a page's bytes are dropped after the last key that
+        uses it, so the cache holds about one table-run of pages rather
+        than the whole keyspace.
         """
+        items = list((self._table if table is None else table).items())
+        # Plan: pages in first-touch order, and the last key using each.
+        order: list[int] = []
+        last_use: dict[int, int] = {}
+        for i, (_, ref) in enumerate(items):
+            page = ref.vaddr & _PAGE_MASK
+            end = ref.vaddr + ref.length
+            while page < end:
+                if page not in last_use:
+                    order.append(page)
+                last_use[page] = i
+                page += PAGE_SIZE
+        bounds = table_run_bounds(order)
+        runs = (order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
         cache: dict[int, bytes] = {}
-        for key, ref in self._table.items():
-            yield key, _read_paged(mm, ref.vaddr, ref.length, cache)
+
+        def page_bytes(page: int, i: int) -> bytes:
+            blob = cache.get(page)
+            while blob is None:
+                run = next(runs)
+                cache.update(zip(run, mm.read_pages(run)))
+                blob = cache.get(page)
+            if last_use[page] == i:
+                del cache[page]
+            return blob
+
+        for i, (key, ref) in enumerate(items):
+            here = ref.vaddr
+            end = here + ref.length
+            page = here & _PAGE_MASK
+            if here < end <= page + PAGE_SIZE:  # the common one-page value
+                yield key, page_bytes(page, i)[here - page : end - page]
+                continue
+            parts: list[bytes] = []
+            while here < end:
+                page = here & _PAGE_MASK
+                stop = min(end, page + PAGE_SIZE)
+                parts.append(page_bytes(page, i)[here - page : stop - page])
+                here = stop
+            yield key, b"".join(parts)
 
     def table_snapshot(self) -> dict[bytes, ValueRef]:
         """Shallow copy of the key table, as inherited by a forked child."""
@@ -117,29 +166,3 @@ class KvStore:
         """Total bytes of stored values."""
         return sum(ref.length for ref in self._table.values())
 
-
-def _read_paged(
-    mm: AddressSpace, vaddr: int, length: int, cache: dict[int, bytes]
-) -> bytes:
-    """Read ``length`` bytes at ``vaddr``, whole pages at a time.
-
-    Pages are fetched through ``mm.read_memory`` (so faults, the TLB,
-    and CoW behave as for any other read) and memoized in ``cache`` for
-    the duration of one keyspace walk.
-    """
-    parts: list[bytes] = []
-    offset = 0
-    while offset < length:
-        here = vaddr + offset
-        base = page_align_down(here)
-        page = cache.get(base)
-        if page is None:
-            page = mm.read_memory(base, PAGE_SIZE)
-            cache[base] = page
-        in_page = here - base
-        chunk = min(length - offset, PAGE_SIZE - in_page)
-        parts.append(page[in_page : in_page + chunk])
-        offset += chunk
-    if len(parts) == 1:
-        return parts[0]
-    return b"".join(parts)

@@ -16,7 +16,7 @@ resolves the data-page CoW as usual.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,18 +26,25 @@ from repro.mem import checkpoints as cp
 from repro.mem.checkpoints import CheckpointEvent
 from repro.mem.directory import require_pte_table
 from repro.mem.flags import (
-    PteFlags,
+    FLAGS_MASK,
+    PTE_ACCESSED,
+    PTE_DIRTY,
+    PTE_PRESENT,
+    PTE_RW,
+    PTE_SPECIAL,
+    PTE_SWAP,
+    make_pte,
     pte_frame,
-    pte_present,
-    pte_writable,
 )
 from repro.mem.frames import FrameAllocator
+from repro.mem.hugepage import HUGE_PAGE_SIZE, HugePage, huge_base
 from repro.mem.page_table import PageTable
 from repro.mem.tlb import Tlb
 from repro.obs import tracer as obs
 from repro.obs.registry import CounterDict, MetricsRegistry
 from repro.mem.vma import Vma, VmaList, VmaProt, aligned_range
 from repro.units import (
+    PAGE_SHIFT,
     PAGE_SIZE,
     PTE_TABLE_SPAN,
     page_align_down,
@@ -51,10 +58,24 @@ STACK_TOP = 0x7FFF_FF00_0000
 
 ZERO_FRAME = 0
 
-_ACCESSED = np.uint64(int(PteFlags.ACCESSED))
-_PAGE_SHIFT = np.uint64(PAGE_SIZE.bit_length() - 1)
+_ACCESSED = np.uint64(PTE_ACCESSED)
+_PRESENT = np.uint64(PTE_PRESENT)
+_PAGE_SHIFT = np.uint64(PAGE_SHIFT)
+#: Shift from a vaddr to its PTE table's number (2 MiB spans).
+_TABLE_SHIFT = PTE_TABLE_SPAN.bit_length() - 1
 
 CheckpointSubscriber = Callable[[CheckpointEvent], None]
+
+
+def table_run_bounds(pages: Sequence[int]) -> list[int]:
+    """Bounds ``[0, ..., len(pages)]`` cutting ``pages`` into table runs.
+
+    A run is a maximal stretch of consecutive list entries that fall in
+    one PTE table (2 MiB span); list order is kept, never sorted.
+    """
+    tables = np.asarray(pages, dtype=np.int64) >> _TABLE_SHIFT
+    cuts = np.flatnonzero(tables[1:] != tables[:-1]) + 1
+    return [0, *cuts.tolist(), len(pages)]
 
 
 def _user_path(method):
@@ -184,8 +205,6 @@ class AddressSpace:
         fault/CoW granularity and all-or-nothing residency — and
         incompatible with Async-fork's PMD R/W-bit reuse.
         """
-        from repro.mem.hugepage import HUGE_PAGE_SIZE
-
         if length <= 0 or length % HUGE_PAGE_SIZE:
             raise ValueError("huge mappings are 2 MiB-granular")
         # Align the arena cursor up to a huge-page boundary.
@@ -246,7 +265,6 @@ class AddressSpace:
     @_user_path
     def mremap(self, vma: Vma, new_length: int) -> Vma:
         """Resize a VMA in place (vma_to_resize)."""
-        new_end = vma.start + new_length
         new_end = aligned_range(vma.start, new_length)[1]
         self.fire(cp.VMA_TO_RESIZE, vma.start, max(vma.end, new_end), vma=vma)
         if new_end < vma.end:
@@ -298,8 +316,6 @@ class AddressSpace:
         (``zap_pmd_range`` on the OOM path) or ``None`` when a VMA-wide
         checkpoint already covered the range.
         """
-        from repro.mem.hugepage import HugePage
-
         zapped = 0
         for pmd, idx, base in self.page_table.iter_pmd_slots(lo, hi):
             leaf = pmd.get(idx)
@@ -427,39 +443,36 @@ class AddressSpace:
         ):
             found[0].set_write_protected(found[1], False)
 
-        pte = self.page_table.get_pte(vaddr)
-        if not pte_present(pte) and pte & int(PteFlags.SWAP):
+        leaf, pte = self.page_table.leaf_pte(found, vaddr)
+        if not pte & PTE_PRESENT and pte & PTE_SWAP:
             # Swap-in: restore the page privately from the shared slot,
             # then resolve any pending CoW arm for write accesses.
             frame = self._swap_in(vaddr, pte)
             pte = self.page_table.get_pte(vaddr)
-            if write and not pte_writable(pte):
+            if write and not pte & PTE_RW:
                 return self._resolve_cow(vaddr, pte)
             return frame
-        if not pte_present(pte) and pte & int(PteFlags.SPECIAL):
+        if not pte & PTE_PRESENT and pte & PTE_SPECIAL:
             # NUMA hint fault: the frame is intact, re-establish PRESENT.
             pte = self._restore_numa_hint(vaddr, pte)
-        if not pte_present(pte):
+        if not pte & PTE_PRESENT:
             return self._fault_in_page(vaddr, vma, write)
-        if write and not pte_writable(pte):
+        if write and not pte & PTE_RW:
             return self._resolve_cow(vaddr, pte)
-        leaf = self.page_table.walk_pte_table(vaddr)
         assert leaf is not None
-        flags = PteFlags.ACCESSED | (PteFlags.DIRTY if write else PteFlags.NONE)
+        flags = PTE_ACCESSED | (PTE_DIRTY if write else 0)
         leaf.add_flags(pte_index(vaddr), flags)
-        return pte_frame(pte)
+        return pte >> PAGE_SHIFT
 
     def _swap_in(self, vaddr: int, pte: int) -> int:
         """Fault a swapped-out page back in from the shared swap space."""
-        from repro.mem.flags import make_pte, pte_flags
-
         slot = pte_frame(pte)
         contents = self.frames.swap.load(slot)
         page = self.frames.alloc("data")
         page.get()
         if contents:
             self.frames.write(page.frame, 0, contents)
-        flags = (pte_flags(pte) | PteFlags.PRESENT) & ~PteFlags.SWAP
+        flags = (pte & FLAGS_MASK | PTE_PRESENT) & ~PTE_SWAP
         leaf = self.page_table.walk_pte_table(vaddr)
         assert leaf is not None
         leaf.set(pte_index(vaddr), make_pte(page.frame, flags))
@@ -469,11 +482,9 @@ class AddressSpace:
 
     def _restore_numa_hint(self, vaddr: int, pte: int) -> int:
         """Undo a change_prot_numa poisoning for one PTE."""
-        from repro.mem.flags import make_pte, pte_flags  # local: tiny helper
-
         leaf = self.page_table.walk_pte_table(vaddr)
         assert leaf is not None
-        flags = (pte_flags(pte) | PteFlags.PRESENT) & ~PteFlags.SPECIAL
+        flags = (pte & FLAGS_MASK | PTE_PRESENT) & ~PTE_SPECIAL
         restored = make_pte(pte_frame(pte), flags)
         leaf.set(pte_index(vaddr), restored)
         return restored
@@ -482,15 +493,13 @@ class AddressSpace:
         """First touch of an anonymous page."""
         if not write:
             # Read faults map the shared zero page read-only.
-            self.page_table.map(
-                vaddr, ZERO_FRAME, PteFlags.ACCESSED
-            )
+            self.page_table.map(vaddr, ZERO_FRAME, PTE_ACCESSED)
             return ZERO_FRAME
         page = self.frames.alloc("data")
         page.get()
-        flags = PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY
+        flags = PTE_RW | PTE_ACCESSED | PTE_DIRTY
         if not vma.prot & VmaProt.WRITE:  # pragma: no cover - guarded above
-            flags &= ~PteFlags.RW
+            flags &= ~PTE_RW
         self.page_table.map(vaddr, page.frame, flags)
         self.rss += 1
         self.tlb.flush_page(vaddr)
@@ -512,9 +521,7 @@ class AddressSpace:
             self.frames.copy_contents(frame, new_page.frame)
             page.put()
             self.page_table.map(
-                vaddr,
-                new_page.frame,
-                PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY,
+                vaddr, new_page.frame, PTE_RW | PTE_ACCESSED | PTE_DIRTY
             )
             self.tlb.flush_page(vaddr)
             self.stats["cow_copies"] += 1
@@ -526,10 +533,7 @@ class AddressSpace:
         # Sole owner: reuse the page in place.
         leaf = self.page_table.walk_pte_table(vaddr)
         assert leaf is not None
-        leaf.add_flags(
-            pte_index(vaddr),
-            PteFlags.RW | PteFlags.ACCESSED | PteFlags.DIRTY,
-        )
+        leaf.add_flags(pte_index(vaddr), PTE_RW | PTE_ACCESSED | PTE_DIRTY)
         self.tlb.flush_page(vaddr)
         return frame
 
@@ -545,8 +549,6 @@ class AddressSpace:
         return self._huge_fault(vaddr, vma, write)
 
     def _huge_fault(self, vaddr: int, vma: Vma, write: bool):
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, HugePage, huge_base
-
         needed = VmaProt.WRITE if write else VmaProt.READ
         if not vma.prot & needed:
             raise ProtectionFaultError(
@@ -595,8 +597,6 @@ class AddressSpace:
     @_user_path
     def write_memory(self, vaddr: int, data: bytes) -> None:
         """Store bytes at a virtual address, faulting pages in as needed."""
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, huge_base
-
         offset = 0
         while offset < len(data):
             here = vaddr + offset
@@ -626,8 +626,6 @@ class AddressSpace:
         This faithful modelling of TLB semantics is what exposes the
         shared-page-table leakage of Table 1.
         """
-        from repro.mem.hugepage import HUGE_PAGE_SIZE, huge_base
-
         parts: list[bytes] = []
         offset = 0
         while offset < length:
@@ -640,17 +638,15 @@ class AddressSpace:
                 parts.append(hp.read(in_huge, chunk))
                 offset += chunk
                 continue
-            page_lo = page_align_down(vaddr + offset)
-            in_page = vaddr + offset - page_lo
+            page_lo = page_align_down(here)
+            in_page = here - page_lo
             chunk = min(length - offset, PAGE_SIZE - in_page)
             frame = self.tlb.lookup(page_lo)
             if frame is None:
-                pte = self.page_table.get_pte(page_lo)
-                if pte_present(pte):
-                    frame = pte_frame(pte)
-                    leaf = self.page_table.walk_pte_table(page_lo)
-                    assert leaf is not None
-                    leaf.add_flags(pte_index(page_lo), PteFlags.ACCESSED)
+                leaf, pte = self.page_table.walk_pte(page_lo)
+                if pte & PTE_PRESENT:
+                    frame = pte >> PAGE_SHIFT
+                    leaf.add_flags(pte_index(page_lo), PTE_ACCESSED)
                 else:
                     frame = self.handle_fault(page_lo, write=False)
                 self.tlb.insert(page_lo, frame)
@@ -658,19 +654,110 @@ class AddressSpace:
             offset += chunk
         return b"".join(parts)
 
+    def read_pages(self, pages: Sequence[int]) -> list[bytes]:
+        """Read the whole pages at page-aligned ``pages``, in list order.
+
+        Observably the same as ``[read_memory(p, PAGE_SIZE) for p in
+        pages]``: the same bytes, TLB entries and hit/miss counts, PTE
+        words, faults (in the same order) and trace events.  Each run of
+        consecutive pages inside one PTE table is handled together: one
+        page-table walk, the run's TLB lookups, one presence mask over
+        the table's words, one vectorized ``|= ACCESSED`` on the present
+        misses, and only the non-present misses go through
+        :meth:`handle_fault`.  Stale TLB entries are used, as by
+        :meth:`read_memory`.
+
+        Huge-page spans, runs that name a page twice, and any call made
+        while access or edge hooks are installed (the race detector
+        must see every per-page event) take the per-page path.
+        """
+        if not pages:
+            return []
+        vaddrs = np.asarray(pages, dtype=np.int64)
+        if (vaddrs & (PAGE_SIZE - 1)).any():
+            raise ValueError("read_pages takes page-aligned addresses")
+        if hooks.ACCESS_HOOKS or hooks.EDGE_HOOKS:
+            return [self.read_memory(page, PAGE_SIZE) for page in pages]
+        pages = list(pages)
+        bounds = table_run_bounds(pages)
+        out: list[bytes] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._read_table_run(pages[lo:hi], vaddrs[lo:hi], out)
+        return out
+
+    def _read_table_run(
+        self, run: list[int], vaddrs: np.ndarray, out: list[bytes]
+    ) -> None:
+        """:meth:`read_pages` for one run of pages inside one PTE table.
+
+        The run is processed in segments that end at a non-present TLB
+        miss: a segment's lookups, ACCESSED updates, TLB inserts and
+        reads are independent per page, so batching them is exact; the
+        fault that ends a segment runs at the point the per-page walk
+        would reach it, and the rest of the run is re-walked after it.
+        """
+        base = run[0] & ~(PTE_TABLE_SPAN - 1)
+        huge = any(
+            vma.tag == "thp"
+            for vma in self.vmas.overlapping(base, base + PTE_TABLE_SPAN)
+        )
+        if huge or len(set(run)) != len(run):
+            out.extend(self.read_memory(page, PAGE_SIZE) for page in run)
+            return
+        tlb = self.tlb
+        n = len(run)
+        idx = (vaddrs - base) >> PAGE_SHIFT
+        cached = tlb.peek_many(run)
+        hit = np.array([frame is not None for frame in cached], dtype=bool)
+        pos = 0
+        while pos < n:
+            leaf = self.page_table.walk_pte_table(base)
+            miss = pos + np.flatnonzero(~hit[pos:])
+            words = (
+                leaf.entries()[idx[miss]]
+                if leaf is not None
+                else np.zeros(len(miss), dtype=np.uint64)
+            )
+            absent = np.flatnonzero((words & _PRESENT) == 0)
+            taken = int(absent[0]) if len(absent) else len(miss)
+            stop = int(miss[taken]) if len(absent) else n
+            if taken:
+                present = miss[:taken]
+                leaf.mark_accessed(idx[present])
+                frames = (words[:taken] >> _PAGE_SHIFT).tolist()
+                positions = present.tolist()
+                tlb.insert_many([run[i] for i in positions], frames)
+                for i, frame in zip(positions, frames):
+                    cached[i] = frame
+            tlb.count_lookups(stop - pos - taken, taken)
+            out.extend(self.frames.read_frames(cached[pos:stop]))
+            if stop == n:
+                return
+            page = run[stop]
+            tlb.count_lookups(0, 1)
+            flushes, size = tlb.flushes, len(tlb)
+            frame = self.handle_fault(page, write=False)
+            flushed = tlb.flushes != flushes or len(tlb) != size
+            tlb.insert(page, frame)
+            out.append(self.frames.read(frame))
+            pos = stop + 1
+            if flushed and pos < n:
+                # The fault changed the TLB: look the rest up again, as
+                # the per-page walk would.
+                cached[pos:] = tlb.peek_many(run[pos:])
+                hit[pos:] = [frame is not None for frame in cached[pos:]]
+
     def _writable_frame(self, vaddr: int) -> int:
         """Frame for a write access, resolving faults if required."""
-        pte = self.page_table.get_pte(vaddr)
-        if pte_present(pte) and pte_writable(pte):
-            found = self.page_table.walk_pmd(vaddr)
-            assert found is not None
-            if not found[0].is_write_protected(found[1]):
-                leaf = self.page_table.walk_pte_table(vaddr)
-                assert leaf is not None
-                leaf.add_flags(
-                    pte_index(vaddr), PteFlags.ACCESSED | PteFlags.DIRTY
-                )
-                return pte_frame(pte)
+        found = self.page_table.walk_pmd(vaddr)
+        leaf, pte = self.page_table.leaf_pte(found, vaddr)
+        if (
+            pte & PTE_PRESENT
+            and pte & PTE_RW
+            and not found[0].is_write_protected(found[1])
+        ):
+            leaf.add_flags(pte_index(vaddr), PTE_ACCESSED | PTE_DIRTY)
+            return pte >> PAGE_SHIFT
         return self.handle_fault(vaddr, write=True)
 
     @_user_path
@@ -688,8 +775,6 @@ class AddressSpace:
 
     def estimate_wss(self) -> int:
         """Count accessed PTEs — the kernel's WSS estimator input."""
-        from repro.mem.hugepage import HugePage
-
         count = 0
         for vma in self.vmas:
             for pmd, idx, base in self.page_table.iter_pmd_slots(
@@ -732,7 +817,7 @@ class AddressSpace:
                 if leaf is None:
                     continue
                 leaf = require_pte_table(leaf)
-                leaf.clear_flags_present(PteFlags.ACCESSED)
+                leaf.clear_flags_present(PTE_ACCESSED)
 
     # ------------------------------------------------------------------
 

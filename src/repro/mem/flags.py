@@ -16,6 +16,11 @@ algorithms rely on are modelled:
     A is demonstrated through the accessed bit.
 ``SPECIAL``
     Catch-all software bit used by tests.
+
+The ``PTE_*`` plain-int constants are what hot paths test and combine:
+``enum.IntFlag`` arithmetic costs a Python-level call per operator, which
+showed up as a measurable share of the RDB keyspace walk.  ``PteFlags``
+carries the same values for repr and debugging.
 """
 
 from __future__ import annotations
@@ -25,25 +30,34 @@ import enum
 from repro.units import PAGE_SHIFT
 
 
+PTE_PRESENT = 1 << 0
+PTE_RW = 1 << 1
+PTE_USER = 1 << 2
+PTE_ACCESSED = 1 << 5
+PTE_DIRTY = 1 << 6
+PTE_SPECIAL = 1 << 9
+PTE_SWAP = 1 << 10
+
+
 class PteFlags(enum.IntFlag):
     """Flags stored in the low bits of a PTE."""
 
     NONE = 0
-    PRESENT = 1 << 0
-    RW = 1 << 1
-    USER = 1 << 2
-    ACCESSED = 1 << 5
-    DIRTY = 1 << 6
-    SPECIAL = 1 << 9
+    PRESENT = PTE_PRESENT
+    RW = PTE_RW
+    USER = PTE_USER
+    ACCESSED = PTE_ACCESSED
+    DIRTY = PTE_DIRTY
+    SPECIAL = PTE_SPECIAL
     #: Non-present entry holding a swap-slot id instead of a frame.
-    SWAP = 1 << 10
+    SWAP = PTE_SWAP
 
 
 #: Mask covering every flag bit (everything below the frame number).
 FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 
 
-def make_pte(frame: int, flags: PteFlags) -> int:
+def make_pte(frame: int, flags: int) -> int:
     """Compose a PTE value from a frame number and flags."""
     if frame < 0:
         raise ValueError("frame number must be non-negative")
@@ -62,19 +76,19 @@ def pte_flags(pte: int) -> PteFlags:
 
 def pte_present(pte: int) -> bool:
     """True if the entry maps a frame."""
-    return bool(int(pte) & PteFlags.PRESENT)
+    return bool(int(pte) & PTE_PRESENT)
 
 
 def pte_writable(pte: int) -> bool:
     """True if the entry allows hardware writes."""
-    return bool(int(pte) & PteFlags.RW)
+    return bool(int(pte) & PTE_RW)
 
 
-def pte_set_flags(pte: int, flags: PteFlags) -> int:
+def pte_set_flags(pte: int, flags: int) -> int:
     """Return the PTE with ``flags`` added."""
     return int(pte) | int(flags)
 
 
-def pte_clear_flags(pte: int, flags: PteFlags) -> int:
+def pte_clear_flags(pte: int, flags: int) -> int:
     """Return the PTE with ``flags`` removed."""
     return int(pte) & ~int(flags)

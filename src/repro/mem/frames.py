@@ -26,6 +26,9 @@ from repro.mem.page_struct import MapCountStore, PageStruct
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGE_SIZE
 
+#: Contents of a never-written frame; shared, since bytes are immutable.
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 class SwapSpace:
     """System-wide swap: slot id -> page contents.
@@ -281,6 +284,22 @@ class FrameAllocator:
         if buf is None:
             return bytes(length)
         return bytes(buf[offset : offset + length])
+
+    def read_frames(self, frames: list[int]) -> list[bytes]:
+        """Whole-page reads of many frames, as :meth:`read` per frame."""
+        pages = self._pages
+        contents = self._contents
+        notify = bool(hooks.ACCESS_HOOKS)
+        out: list[bytes] = []
+        for frame in frames:
+            if frame != 0:
+                if frame not in pages:
+                    raise KeyError(f"frame {frame} is not allocated")
+                if notify:
+                    hooks.notify_access("read", "frame", frame)
+            buf = contents.get(frame)
+            out.append(_ZERO_PAGE if buf is None else bytes(buf))
+        return out
 
     def write(self, frame: int, offset: int, data: bytes) -> None:
         """Write bytes into a frame, materializing its backing store."""

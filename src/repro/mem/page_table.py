@@ -26,7 +26,7 @@ from repro.mem.directory import (
     require_directory,
     require_pte_table,
 )
-from repro.mem.flags import PteFlags, make_pte, pte_frame, pte_present
+from repro.mem.flags import PTE_PRESENT, make_pte, pte_frame, pte_present
 from repro.mem.frames import FrameAllocator
 from repro.mem.pte_table import PteTable
 from repro.units import (
@@ -104,17 +104,33 @@ class PageTable:
 
     # -- PTE access -----------------------------------------------------------
 
-    def get_pte(self, vaddr: int) -> int:
-        """Raw PTE value for ``vaddr`` (0 if unmapped)."""
-        leaf = self.walk_pte_table(vaddr)
+    def walk_pte(self, vaddr: int) -> tuple[Optional[PteTable], int]:
+        """One walk: the leaf covering ``vaddr`` and its raw PTE.
+
+        Returns ``(None, 0)`` when no leaf table covers ``vaddr``.  Callers
+        that go on to update the entry reuse the leaf instead of walking
+        the tree again.
+        """
+        return self.leaf_pte(self.walk_pmd(vaddr), vaddr)
+
+    def leaf_pte(
+        self, found: Optional[tuple[DirectoryTable, int]], vaddr: int
+    ) -> tuple[Optional[PteTable], int]:
+        """:meth:`walk_pte` below an existing :meth:`walk_pmd` result."""
+        leaf = found[0].get(found[1]) if found is not None else None
         if leaf is None:
-            return 0
+            return None, 0
+        leaf = require_pte_table(leaf)
         if hooks.ACCESS_HOOKS:
             # The hardware walker's read — the chokepoint the race
             # detector watches (direct ``PteTable.get`` stays silent:
             # checker audits peek through it).
             hooks.notify_access("read", "pte", leaf.page.frame)
-        return leaf.get(pte_index(vaddr))
+        return leaf, leaf.get(pte_index(vaddr))
+
+    def get_pte(self, vaddr: int) -> int:
+        """Raw PTE value for ``vaddr`` (0 if unmapped)."""
+        return self.walk_pte(vaddr)[1]
 
     def set_pte(self, vaddr: int, value: int) -> None:
         """Install a raw PTE value, allocating the path as needed."""
@@ -122,9 +138,9 @@ class PageTable:
         assert leaf is not None
         leaf.set(pte_index(vaddr), value)
 
-    def map(self, vaddr: int, frame: int, flags: PteFlags) -> None:
+    def map(self, vaddr: int, frame: int, flags: int) -> None:
         """Map ``vaddr`` to ``frame`` with ``flags`` (plus PRESENT)."""
-        self.set_pte(vaddr, make_pte(frame, flags | PteFlags.PRESENT))
+        self.set_pte(vaddr, make_pte(frame, int(flags) | PTE_PRESENT))
 
     def clear_pte(self, vaddr: int) -> int:
         """Clear the PTE for ``vaddr``; return the old value."""

@@ -21,24 +21,26 @@ import numpy as np
 
 from repro.analysis import hooks
 from repro.mem.flags import (
-    PteFlags,
-    pte_clear_flags,
-    pte_present,
-    pte_set_flags,
+    PTE_ACCESSED,
+    PTE_DIRTY,
+    PTE_PRESENT,
+    PTE_RW,
+    PTE_SPECIAL,
 )
 from repro.mem.page_struct import PageStruct
 from repro.units import ENTRIES_PER_TABLE, PAGE_SHIFT
 
-_PRESENT = np.uint64(int(PteFlags.PRESENT))
-_RW = np.uint64(int(PteFlags.RW))
-_NOT_RW = np.uint64(~int(PteFlags.RW) & 0xFFFF_FFFF_FFFF_FFFF)
-_REFERENCING = np.uint64(int(PteFlags.PRESENT) | int(PteFlags.SPECIAL))
+_PRESENT = np.uint64(PTE_PRESENT)
+_RW = np.uint64(PTE_RW)
+_NOT_RW = np.uint64(~PTE_RW & 0xFFFF_FFFF_FFFF_FFFF)
+_ACCESSED = np.uint64(PTE_ACCESSED)
+_REFERENCING = np.uint64(PTE_PRESENT | PTE_SPECIAL)
 #: Bits whose change moves an entry in/out of the cached index sets.
-_MEMBERSHIP_BITS = int(PteFlags.PRESENT) | int(PteFlags.SPECIAL)
+_MEMBERSHIP_BITS = PTE_PRESENT | PTE_SPECIAL
 _PAGE_SHIFT = np.uint64(PAGE_SHIFT)
 #: Flag updates touching only these bits are atomic RMWs to the race
 #: detector (the hardware walker's ACCESSED/DIRTY maintenance).
-_AD_BITS = int(PteFlags.ACCESSED) | int(PteFlags.DIRTY)
+_AD_BITS = PTE_ACCESSED | PTE_DIRTY
 
 
 class PteTable:
@@ -92,9 +94,11 @@ class PteTable:
     def _store(self, index: int, value: int) -> None:
         entries = self._materialize()
         old = int(entries[index])
-        entries[index] = np.uint64(value)
-        self.present_count += int(pte_present(value)) - int(pte_present(old))
-        if (old ^ int(value)) & _MEMBERSHIP_BITS:
+        value = int(value)
+        entries[index] = value
+        # PRESENT is bit 0, so the masked words are the 0/1 membership.
+        self.present_count += (value & PTE_PRESENT) - (old & PTE_PRESENT)
+        if (old ^ value) & _MEMBERSHIP_BITS:
             self._invalidate()
 
     def clear(self, index: int) -> int:
@@ -104,19 +108,34 @@ class PteTable:
             self.set(index, 0)
         return old
 
-    def add_flags(self, index: int, flags: PteFlags) -> None:
+    def add_flags(self, index: int, flags: int) -> None:
         """Set flag bits on one entry."""
+        flags = int(flags)
         if hooks.ACCESS_HOOKS:
-            op = "atomic" if not (int(flags) & ~_AD_BITS) else "write"
+            op = "atomic" if not (flags & ~_AD_BITS) else "write"
             hooks.notify_access(op, "pte", self.page.frame)
-        self._store(index, pte_set_flags(self.get(index), flags))
+        self._store(index, self.get(index) | flags)
 
-    def remove_flags(self, index: int, flags: PteFlags) -> None:
+    def remove_flags(self, index: int, flags: int) -> None:
         """Clear flag bits on one entry."""
+        flags = int(flags)
         if hooks.ACCESS_HOOKS:
-            op = "atomic" if not (int(flags) & ~_AD_BITS) else "write"
+            op = "atomic" if not (flags & ~_AD_BITS) else "write"
             hooks.notify_access(op, "pte", self.page.frame)
-        self._store(index, pte_clear_flags(self.get(index), flags))
+        self._store(index, self.get(index) & ~flags)
+
+    def mark_accessed(self, idx: np.ndarray) -> None:
+        """Set ACCESSED on the (present, distinct) entries at ``idx``.
+
+        The batched arm of ``add_flags(i, ACCESSED)``: one vectorized
+        ``|=`` for a run of TLB misses.  A flag-only update, so the
+        present counter and the cached index sets stay valid.
+        """
+        if not len(idx):
+            return
+        if hooks.ACCESS_HOOKS:
+            hooks.notify_access("atomic", "pte", self.page.frame)
+        self._entries[idx] |= _ACCESSED
 
     def entries(self) -> np.ndarray:
         """Read-only view of the raw entries (zeros if untouched).
@@ -232,7 +251,7 @@ class PteTable:
         self._entries[idx] = 0
         self._invalidate()
 
-    def clear_flags_present(self, flags: PteFlags) -> None:
+    def clear_flags_present(self, flags: int) -> None:
         """Remove ``flags`` from every present entry (WSS bit aging)."""
         if self._entries is None or self.present_count == 0:
             return

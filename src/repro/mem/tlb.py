@@ -72,10 +72,24 @@ class Tlb:
         """Cached frame for the page of ``vaddr``, or ``None`` on miss."""
         frame = self._entries.get(page_align_down(vaddr))
         if frame is None:
-            self.misses += 1
+            self._misses.value += 1
         else:
-            self.hits += 1
+            self._hits.value += 1
         return frame
+
+    def peek_many(self, pages: list[int]) -> list[Optional[int]]:
+        """Cached frames for page-aligned ``pages``, without counting.
+
+        The batched read path peeks a run up front and charges the
+        lookups it actually consumed through :meth:`count_lookups`.
+        """
+        get = self._entries.get
+        return [get(page) for page in pages]
+
+    def count_lookups(self, hits: int, misses: int) -> None:
+        """Charge ``hits``/``misses`` as if :meth:`lookup` had run."""
+        self._hits.value += hits
+        self._misses.value += misses
 
     def insert(self, vaddr: int, frame: int, writable: bool = False) -> None:
         """Cache a translation (called after a page-table walk)."""
@@ -85,6 +99,14 @@ class Tlb:
             self._writable.add(page)
         else:
             self._writable.discard(page)
+
+    def insert_many(self, pages: list[int], frames: list[int]) -> None:
+        """Cache read-only translations, as :meth:`insert` per page."""
+        entries = self._entries
+        discard = self._writable.discard
+        for page, frame in zip(pages, frames):
+            entries[page] = frame
+            discard(page)
 
     def flush_page(self, vaddr: int) -> None:
         """Invalidate the entry for one page (INVLPG)."""
