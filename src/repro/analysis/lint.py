@@ -20,7 +20,7 @@ Rules
     specific stdlib types tests already rely on).
 ``builtin-shadow``
     A class or function whose name collides with a Python builtin
-    exception once trailing underscores are stripped (e.g. the old
+    exception once trailing underscores are stripped (e.g. a class
     ``MemoryError_``), which invites confusing ``except`` clauses.
 ``pte-loop``
     A ``for`` loop (or comprehension) iterating a PTE table entry by

@@ -26,11 +26,6 @@ class SimMemoryError(ReproError):
     """Base class for simulated memory-management failures."""
 
 
-#: Deprecated alias kept for one release; the trailing-underscore name
-#: shadowed the ``MemoryError`` builtin (see ``repro.analysis.lint``).
-MemoryError_ = SimMemoryError
-
-
 class OutOfMemoryError(SimMemoryError):
     """The simulated physical frame allocator is exhausted.
 

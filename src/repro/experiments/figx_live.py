@@ -21,7 +21,7 @@ stall would freeze their clocks too and the spike would vanish from the
 percentiles (coordinated omission).  With an independent client loop,
 every request issued while the server is "in the kernel" measures the
 remainder of the stall — exactly what an external ``redis-cli`` would
-see.  The CI ``net-smoke`` job runs the same load loop against an
+see.  The CI ``smoke`` job's wire gate runs the same load loop against an
 out-of-process ``repro-serve``.
 
 Because it measures the host clock over real sockets, this experiment is

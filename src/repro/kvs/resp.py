@@ -1,14 +1,19 @@
-"""RESP2: the Redis serialization protocol.
+"""RESP2/RESP3: the Redis serialization protocol, one codec for every layer.
 
-The engines in this package are driven programmatically by the harness,
-but a reproduction of a Redis-family system should speak its wire
-protocol; :mod:`repro.kvs.server` builds a command server on top of this
-codec, and the examples use it to feed realistic byte streams.
+The in-process command server (:mod:`repro.kvs.server`), the cluster
+client and migrator, the proxy and the live asyncio frontend
+(:mod:`repro.net`) all speak RESP through this module.  Implemented:
+the RESP2 types, null bulk/array, inline commands, and the RESP3 types
+a ``HELLO 3`` client expects — nulls, booleans, doubles, big numbers,
+maps, sets and pushes.
 
-Implemented: the five RESP2 types (simple strings, errors, integers, bulk
-strings, arrays), null bulk/array, and inline commands.  The parser is
-incremental — feed it arbitrary chunks and it yields complete values —
-because that is how bytes arrive off a socket.
+The encoder is protocol-aware: one reply value renders as RESP3 for a
+``HELLO 3`` connection and degrades to RESP2 (maps flatten to arrays,
+booleans to integers, doubles to bulk strings) as Redis does.  The
+parser is incremental — feed it arbitrary chunks and it yields complete
+values — and hardened for a public socket: torn reads, hostile framing,
+depth bombs and length bombs either yield values or raise
+:class:`ProtocolError`; no input may crash it with anything else.
 """
 
 from __future__ import annotations
@@ -16,6 +21,13 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 CRLF = b"\r\n"
+
+#: Redis's proto-max-bulk-len default: a longer bulk header is hostile.
+MAX_BULK_LEN = 512 * 1024 * 1024
+#: Redis's multibulk element cap.
+MAX_MULTIBULK = 1024 * 1024
+#: Aggregate nesting beyond this is a depth bomb, not a real client.
+MAX_DEPTH = 128
 
 RespValue = Union[bytes, int, None, list, "RespError", "SimpleString"]
 
@@ -38,12 +50,28 @@ class ProtocolError(Exception):
     """The byte stream violates RESP framing."""
 
 
+class Push(list):
+    """A RESP3 push frame (``>``): out-of-band server-initiated data."""
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
 
-def encode(value: RespValue) -> bytes:
-    """Serialize one value as RESP2."""
+def _format_double(value: float) -> bytes:
+    if value != value:
+        return b"nan"
+    if value == float("inf"):
+        return b"inf"
+    if value == float("-inf"):
+        return b"-inf"
+    return repr(value).encode()
+
+
+def encode(value, proto: int = 2) -> bytes:
+    """Serialize one value for a proto-2 or proto-3 connection."""
     if isinstance(value, SimpleString):
         return b"+" + bytes(value) + CRLF
     if isinstance(value, RespError):
@@ -53,20 +81,50 @@ def encode(value: RespValue) -> bytes:
         message = value.message.replace("\r", " ").replace("\n", " ")
         return b"-" + message.encode() + CRLF
     if isinstance(value, bool):
-        raise TypeError("RESP2 has no boolean; reply with an integer")
+        if proto >= 3:
+            return b"#t" + CRLF if value else b"#f" + CRLF
+        return b":1" + CRLF if value else b":0" + CRLF
     if isinstance(value, int):
         return b":" + str(value).encode() + CRLF
+    if isinstance(value, float):
+        if proto >= 3:
+            return b"," + _format_double(value) + CRLF
+        return encode(_format_double(value), proto)
     if value is None:
+        if proto >= 3:
+            return b"_" + CRLF
         return b"$-1" + CRLF
     if isinstance(value, (bytes, bytearray)):
         data = bytes(value)
         return b"$" + str(len(data)).encode() + CRLF + data + CRLF
     if isinstance(value, str):
-        return encode(value.encode())
+        return encode(value.encode(), proto)
+    if isinstance(value, dict):
+        if proto >= 3:
+            parts = [b"%" + str(len(value)).encode() + CRLF]
+            for key, item in value.items():
+                parts.append(encode(key, proto))
+                parts.append(encode(item, proto))
+            return b"".join(parts)
+        flat = []
+        for key, item in value.items():
+            flat.append(key)
+            flat.append(item)
+        return encode(flat, proto)
+    if isinstance(value, Push):
+        marker = b">" if proto >= 3 else b"*"
+        parts = [marker + str(len(value)).encode() + CRLF]
+        parts.extend(encode(item, proto) for item in value)
+        return b"".join(parts)
     if isinstance(value, (list, tuple)):
         parts = [b"*" + str(len(value)).encode() + CRLF]
-        parts.extend(encode(item) for item in value)
+        parts.extend(encode(item, proto) for item in value)
         return b"".join(parts)
+    if isinstance(value, (set, frozenset)):
+        raise TypeError(
+            "refusing to encode a set: iteration order is not "
+            "deterministic; encode a sorted list instead"
+        )
     raise TypeError(f"cannot encode {type(value).__name__} as RESP")
 
 
@@ -76,7 +134,7 @@ def encode_command(*args) -> bytes:
         a if isinstance(a, (bytes, bytearray)) else str(a).encode()
         for a in args
     ]
-    return encode(list(normalized))
+    return encode(normalized)
 
 
 OK = SimpleString(b"OK")
@@ -87,39 +145,58 @@ PONG = SimpleString(b"PONG")
 # incremental parsing
 # ---------------------------------------------------------------------------
 
-class Parser:
-    """Incremental RESP2 parser.
+class _Incomplete:
+    __slots__ = ()
 
-    Usage::
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<incomplete>"
+
+
+#: Returned by :meth:`Parser.parse_one` when the buffered bytes do not
+#: yet form a complete value.
+INCOMPLETE = _Incomplete()
+
+
+class Parser:
+    """Incremental RESP2/RESP3 parser for one connection.
+
+    Feed it arbitrary chunks (``feed``) and iterate complete values::
 
         parser = Parser()
         parser.feed(chunk)
         for value in parser:
             ...
+
+    Framing violations raise :class:`ProtocolError`; anything else
+    escaping the parser is a bug (the fuzz tests enforce this).  After a
+    protocol error the stream is unsalvageable — a server closes the
+    connection, as Redis does.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        self.values_parsed = 0
+        self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> None:
         """Append raw bytes from the wire."""
         self._buffer.extend(data)
 
-    def __iter__(self) -> Iterator[RespValue]:
+    def __iter__(self) -> Iterator:
         while True:
             value = self.parse_one()
-            if value is _INCOMPLETE:
+            if value is INCOMPLETE:
                 return
             yield value
 
-    # -- internals ---------------------------------------------------------
-
     def parse_one(self):
-        """One complete value, or the _INCOMPLETE sentinel."""
-        result, consumed = _parse(bytes(self._buffer), 0)
-        if result is _INCOMPLETE:
-            return _INCOMPLETE
+        """One complete value, or the :data:`INCOMPLETE` sentinel."""
+        result, consumed = _parse(bytes(self._buffer), 0, 0)
+        if result is INCOMPLETE:
+            return INCOMPLETE
         del self._buffer[:consumed]
+        self.values_parsed += 1
+        self.bytes_consumed += consumed
         return result
 
     @property
@@ -128,81 +205,168 @@ class Parser:
         return len(self._buffer)
 
 
-class _Incomplete:
-    __repr__ = lambda self: "<incomplete>"  # noqa: E731 pragma: no cover
-
-
-_INCOMPLETE = _Incomplete()
-
-
 def _find_line(data: bytes, pos: int) -> Optional[tuple[bytes, int]]:
     end = data.find(CRLF, pos)
     if end < 0:
+        if len(data) - pos > MAX_BULK_LEN:
+            raise ProtocolError("unterminated line exceeds bulk limit")
         return None
     return data[pos:end], end + 2
 
 
-def _parse(data: bytes, pos: int):
+#: Characters in a length header: "-1" or up to 20 digits, as a 64-bit
+#: integer needs.
+_MAX_LENGTH_DIGITS = 20
+
+
+def _parse_int(line: bytes, what: str) -> int:
+    # Only an optional '-' then ASCII digits.  Python's int() would also
+    # take '+', spaces and '_' separators, and raises ValueError past its
+    # 4300-digit conversion limit.
+    if line.isdigit() or (line[:1] == b"-" and line[1:].isdigit()):
+        try:
+            return int(line)
+        except ValueError:
+            pass
+    raise ProtocolError(f"bad {what} {line[:32]!r}")
+
+
+def _parse_length(header: bytes, what: str) -> int:
+    if len(header) > _MAX_LENGTH_DIGITS:
+        raise ProtocolError(f"bad {what} {header[:32]!r}")
+    return _parse_int(header, what)
+
+
+def _parse(data: bytes, pos: int, depth: int):
+    if depth > MAX_DEPTH:
+        raise ProtocolError("aggregate nesting too deep")
     if pos >= len(data):
-        return _INCOMPLETE, pos
+        return INCOMPLETE, pos
     kind = data[pos : pos + 1]
-    if kind in b"+-:$*":
+    if kind in b"$*+:-_#,(%~>":
         found = _find_line(data, pos + 1)
         if found is None:
-            return _INCOMPLETE, pos
+            return INCOMPLETE, pos
         line, after = found
-        if kind == b"+":
-            return SimpleString(line), after
-        if kind == b"-":
-            return RespError(line.decode()), after
-        if kind == b":":
-            try:
-                return int(line), after
-            except ValueError:
-                raise ProtocolError(f"bad integer {line!r}") from None
+        # Most frequent kinds first: requests are arrays of bulks.
         if kind == b"$":
             return _parse_bulk(data, line, after)
-        return _parse_array(data, line, after)
+        if kind == b"*" or kind == b">":
+            return _parse_array(data, line, after, depth, push=kind == b">")
+        if kind == b"+":
+            return SimpleString(line), after
+        if kind == b":" or kind == b"(":
+            return _parse_int(line, "integer"), after
+        if kind == b"-":
+            return RespError(line.decode("utf-8", "replace")), after
+        if kind == b"_":
+            if line:
+                raise ProtocolError("null frame carries payload")
+            return None, after
+        if kind == b"#":
+            if line == b"t":
+                return True, after
+            if line == b"f":
+                return False, after
+            raise ProtocolError(f"bad boolean {line!r}")
+        if kind == b",":
+            return _parse_double(line), after
+        if kind == b"%":
+            return _parse_map(data, line, after, depth)
+        return _parse_set(data, line, after, depth)
     # Inline command: a bare line of space-separated words.
     found = _find_line(data, pos)
     if found is None:
-        return _INCOMPLETE, pos
+        return INCOMPLETE, pos
     line, after = found
     if not line.strip():
         raise ProtocolError("empty inline command")
     return [bytes(w) for w in line.split()], after
 
 
-def _parse_bulk(data: bytes, header: bytes, pos: int):
+def _parse_double(line: bytes) -> float:
+    text = line.decode("ascii", "replace").strip()
+    if not text:
+        raise ProtocolError("empty double")
     try:
-        length = int(header)
+        return float(text)
     except ValueError:
-        raise ProtocolError(f"bad bulk length {header!r}") from None
+        raise ProtocolError(f"bad double {line!r}") from None
+
+
+def _parse_bulk(data: bytes, header: bytes, pos: int):
+    length = _parse_length(header, "bulk length")
     if length == -1:
         return None, pos
-    if length < 0:
-        raise ProtocolError(f"negative bulk length {length}")
+    if length < 0 or length > MAX_BULK_LEN:
+        raise ProtocolError(f"bad bulk length {length}")
     end = pos + length
     if len(data) < end + 2:
-        return _INCOMPLETE, pos
+        return INCOMPLETE, pos
     if data[end : end + 2] != CRLF:
         raise ProtocolError("bulk string missing terminator")
     return data[pos:end], end + 2
 
 
-def _parse_array(data: bytes, header: bytes, pos: int):
-    try:
-        count = int(header)
-    except ValueError:
-        raise ProtocolError(f"bad array length {header!r}") from None
+def _parse_count(header: bytes, what: str) -> Optional[int]:
+    count = _parse_length(header, what)
     if count == -1:
+        return None
+    if count < 0 or count > MAX_MULTIBULK:
+        raise ProtocolError(f"bad {what} {count}")
+    return count
+
+
+def _parse_array(data: bytes, header: bytes, pos: int, depth: int,
+                 push: bool = False):
+    count = _parse_count(header, "array length")
+    if count is None:
+        if push:
+            raise ProtocolError("null push frame")
         return None, pos
-    if count < 0:
-        raise ProtocolError(f"negative array length {count}")
-    items = []
+    items = Push() if push else []
     for _ in range(count):
-        item, pos = _parse(data, pos)
-        if item is _INCOMPLETE:
-            return _INCOMPLETE, pos
+        item, pos = _parse(data, pos, depth + 1)
+        if item is INCOMPLETE:
+            return INCOMPLETE, pos
         items.append(item)
+    return items, pos
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        raise ProtocolError(
+            f"unhashable {type(value).__name__} as map/set member"
+        ) from None
+    return value
+
+
+def _parse_map(data: bytes, header: bytes, pos: int, depth: int):
+    count = _parse_count(header, "map length")
+    if count is None:
+        raise ProtocolError("null map frame")
+    items: dict = {}
+    for _ in range(count):
+        key, pos = _parse(data, pos, depth + 1)
+        if key is INCOMPLETE:
+            return INCOMPLETE, pos
+        value, pos = _parse(data, pos, depth + 1)
+        if value is INCOMPLETE:
+            return INCOMPLETE, pos
+        items[_hashable(key)] = value
+    return items, pos
+
+
+def _parse_set(data: bytes, header: bytes, pos: int, depth: int):
+    count = _parse_count(header, "set length")
+    if count is None:
+        raise ProtocolError("null set frame")
+    items = set()
+    for _ in range(count):
+        item, pos = _parse(data, pos, depth + 1)
+        if item is INCOMPLETE:
+            return INCOMPLETE, pos
+        items.add(_hashable(item))
     return items, pos

@@ -2,7 +2,8 @@
 
 Ties the pieces into something shaped like a real Redis front end:
 
-* RESP2 request parsing / reply encoding (:mod:`repro.kvs.resp`);
+* RESP request parsing / reply encoding through :mod:`repro.kvs.resp`,
+  the same hardened codec the live frontend (:mod:`repro.net`) uses;
 * a command table (strings subset + persistence + introspection);
 * the classic ``save <seconds> <changes>`` snapshot policy, evaluated
   against the simulated clock like Redis's serverCron;

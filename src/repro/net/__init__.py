@@ -10,10 +10,15 @@ stalls the asyncio event loop for the fork call's simulated duration, so
 every live connection sees the p99 spike; Async-fork's microsecond parent
 call leaves the loop (and the tail) flat.
 
+The RESP2/RESP3 codec itself is :mod:`repro.kvs.resp`, shared with the
+in-process command server; it is incremental, torn-read tolerant and
+fuzz-hardened.
+
 Layout (app/core split):
 
 ``protocol``
-    RESP2/RESP3 codec — incremental, torn-read tolerant, fuzz-hardened.
+    ``encode``, ``StreamParser`` and ``WireProtocolError``: the codec's
+    objects under their wire-facing names; re-exports only.
 ``bridge``
     The sim-time↔wall-clock bridge (the determinism boundary).
 ``core``
@@ -30,22 +35,12 @@ from repro.net.app import ReproServer, ServerConfig, build_backend
 from repro.net.bridge import ClockBridge
 from repro.net.client import AsyncRespClient
 from repro.net.core import NetSession
-from repro.net.protocol import (
-    Push,
-    StreamParser,
-    WireProtocolError,
-    encode,
-)
 
 __all__ = [
     "AsyncRespClient",
     "ClockBridge",
     "NetSession",
-    "Push",
     "ReproServer",
     "ServerConfig",
-    "StreamParser",
-    "WireProtocolError",
     "build_backend",
-    "encode",
 ]

@@ -4,7 +4,7 @@ One :class:`ReproServer` serves one :class:`~repro.kvs.server.
 CommandServer` backend (plain or sharded) from a single event loop —
 the same single-threaded serving model as Redis.  Each accepted
 connection gets a :class:`~repro.net.core.NetSession` and an incremental
-:class:`~repro.net.protocol.StreamParser`; pipelined commands are
+:class:`~repro.kvs.resp.Parser`; pipelined commands are
 dispatched in arrival order and their replies written back in one batch.
 
 After every dispatched command the handler calls
@@ -29,11 +29,10 @@ from repro.kernel.costs import DEFAULT_COSTS, CostModel
 from repro.kernel.forks.default import DefaultFork
 from repro.kernel.forks.odf import OnDemandFork
 from repro.kvs.engine import KvEngine
-from repro.kvs.resp import RespError
+from repro.kvs.resp import Parser, ProtocolError, RespError, encode
 from repro.kvs.server import CommandServer, SavePoint
 from repro.net.bridge import ClockBridge
 from repro.net.core import NetSession, SessionClosed, ShutdownRequested
-from repro.net.protocol import StreamParser, WireProtocolError, encode
 from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGES_PER_GIB
@@ -319,7 +318,7 @@ class ReproServer:
             conn_id=self._next_conn_id,
             wait_provider=self.wait_provider,
         )
-        parser = StreamParser()
+        parser = Parser()
         self._accepted.inc()
         self._active.set(self._active.value + 1)
         self._writers.add(writer)
@@ -343,7 +342,7 @@ class ReproServer:
                         # connection on this loop waits it out.
                         self.bridge.stall()
                         out += encode(reply, session.proto)
-                except WireProtocolError as exc:
+                except ProtocolError as exc:
                     self._proto_errors.inc()
                     out += encode(
                         RespError(f"ERR Protocol error: {exc}"),

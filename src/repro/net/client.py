@@ -1,6 +1,6 @@
 """A minimal asyncio RESP client.
 
-Used by the ``figx-live`` experiment, the CI ``net-smoke`` driver, and
+Used by the ``figx-live`` experiment, ``scripts/net_smoke.py``, and
 the tests to put real concurrent load on :class:`~repro.net.app.
 ReproServer` without requiring ``redis-cli``/``redis-benchmark`` on the
 machine (both also work — the server speaks the same protocol).
@@ -11,8 +11,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Sequence
 
-from repro.kvs.resp import RespError
-from repro.net.protocol import INCOMPLETE, StreamParser, encode_command
+from repro.kvs.resp import INCOMPLETE, Parser, RespError, encode_command
 
 
 class ReplyError(Exception):
@@ -27,7 +26,7 @@ class AsyncRespClient:
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self._parser = StreamParser()
+        self._parser = Parser()
         self.proto = 2
 
     @classmethod

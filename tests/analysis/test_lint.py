@@ -102,15 +102,10 @@ class TestRaisesAndShadows:
         assert rules("def KeyError_():\n    pass\n") == ["builtin-shadow"]
 
     def test_alias_assignment_is_not_flagged(self):
-        # The deprecated `MemoryError_ = SimMemoryError` alias is an
+        # An alias such as `MemoryError_ = SimMemoryError` is an
         # assignment, not a definition.
         assert rules("class SimMemoryError(Exception):\n    pass\n"
                      "MemoryError_ = SimMemoryError\n") == []
-
-    def test_errors_alias_still_importable(self):
-        from repro.errors import MemoryError_, SimMemoryError
-
-        assert MemoryError_ is SimMemoryError
 
 
 class TestPteLoop:

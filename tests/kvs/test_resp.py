@@ -1,4 +1,4 @@
-"""Tests for the RESP2 codec."""
+"""Tests for the RESP codec on the in-process path."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.async_fork import AsyncFork
 from repro.kvs import resp
+from repro.kvs.engine import KvEngine
 from repro.kvs.resp import (
     OK,
     Parser,
@@ -16,6 +18,7 @@ from repro.kvs.resp import (
     encode,
     encode_command,
 )
+from repro.kvs.server import CommandServer
 
 
 class TestEncoding:
@@ -55,10 +58,6 @@ class TestEncoding:
     def test_unencodable_rejected(self):
         with pytest.raises(TypeError):
             encode(object())
-
-    def test_bool_rejected(self):
-        with pytest.raises(TypeError):
-            encode(True)
 
 
 class TestParsing:
@@ -114,6 +113,11 @@ class TestParsing:
         parser.feed(b"$2\r\nhiXX")
         with pytest.raises(ProtocolError):
             list(parser)
+
+    def test_undecodable_error_line_still_parses(self):
+        value = self._one(b"-\xff\r\n")
+        assert isinstance(value, RespError)
+        assert value.message == "\ufffd"
 
 
 class TestIncremental:
@@ -180,3 +184,12 @@ class TestRoundTrip:
             seen.extend(parser)
             pos += step
         assert seen == values
+
+
+class TestServerHardening:
+    """The in-process server inherits the parser's crash-freedom."""
+
+    def test_depth_bomb_is_a_protocol_error(self):
+        server = CommandServer(KvEngine(fork_engine=AsyncFork()))
+        with pytest.raises(ProtocolError, match="nesting"):
+            server.feed(b"*1\r\n" * 5000)

@@ -1,4 +1,5 @@
-"""RESP2/RESP3 codec tests: byte-exact round trips, torn reads, fuzz."""
+"""RESP2/RESP3 codec tests for the wire path: byte-exact round trips,
+torn reads, fuzz."""
 
 from __future__ import annotations
 
@@ -6,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvs.resp import RespError, SimpleString
-from repro.net.protocol import (
+from repro.kvs.resp import (
     INCOMPLETE,
     MAX_DEPTH,
+    Parser,
+    ProtocolError,
     Push,
-    StreamParser,
-    WireProtocolError,
+    RespError,
+    SimpleString,
     encode,
     encode_command,
 )
+from repro.net import protocol
 
 
 def parse_all(data: bytes) -> list:
-    parser = StreamParser()
+    parser = Parser()
     parser.feed(data)
     return list(parser)
 
@@ -115,6 +118,7 @@ class TestParse:
     def test_simple_types(self):
         assert parse_value(b"+OK\r\n") == SimpleString(b"OK")
         assert parse_value(b":42\r\n") == 42
+        assert parse_value(b":-42\r\n") == -42
         assert parse_value(b"$5\r\nhello\r\n") == b"hello"
         error = parse_value(b"-ERR boom\r\n")
         assert isinstance(error, RespError)
@@ -127,6 +131,9 @@ class TestParse:
         assert parse_value(b",1.5\r\n") == 1.5
         assert parse_value(b"(12345678901234567890\r\n") == (
             12345678901234567890
+        )
+        assert parse_value(b"(-12345678901234567890\r\n") == (
+            -12345678901234567890
         )
         assert parse_value(b"%1\r\n$1\r\nk\r\n:1\r\n") == {b"k": 1}
         assert parse_value(b"~2\r\n:1\r\n:2\r\n") == {1, 2}
@@ -156,7 +163,7 @@ class TestParse:
         assert values == [SimpleString(b"OK"), 1, [b"PING"], b"x"]
 
     def test_counters(self):
-        parser = StreamParser()
+        parser = Parser()
         parser.feed(b"+OK\r\n:1\r\n")
         assert list(parser) == [SimpleString(b"OK"), 1]
         assert parser.values_parsed == 2
@@ -179,7 +186,7 @@ class TestTornReads:
     ]
 
     def test_byte_by_byte(self):
-        parser = StreamParser()
+        parser = Parser()
         values = []
         for i in range(len(self.STREAM)):
             parser.feed(self.STREAM[i : i + 1])
@@ -189,7 +196,7 @@ class TestTornReads:
 
     @pytest.mark.parametrize("chunk", [2, 3, 7, 13])
     def test_fixed_chunks(self, chunk):
-        parser = StreamParser()
+        parser = Parser()
         values = []
         for i in range(0, len(self.STREAM), chunk):
             parser.feed(self.STREAM[i : i + chunk])
@@ -197,7 +204,7 @@ class TestTornReads:
         assert values == self.EXPECT
 
     def test_incomplete_stays_pending(self):
-        parser = StreamParser()
+        parser = Parser()
         parser.feed(b"$5\r\nhel")
         assert parser.parse_one() is INCOMPLETE
         assert parser.pending_bytes == 7
@@ -205,7 +212,7 @@ class TestTornReads:
         assert parser.parse_one() == b"hello"
 
     def test_torn_bulk_terminator(self):
-        parser = StreamParser()
+        parser = Parser()
         parser.feed(b"$2\r\nab\r")
         assert parser.parse_one() is INCOMPLETE
         parser.feed(b"\n")
@@ -235,16 +242,49 @@ class TestHostileInput:
         ],
     )
     def test_raises_wire_protocol_error(self, data):
-        parser = StreamParser()
+        parser = Parser()
         parser.feed(data)
-        with pytest.raises(WireProtocolError):
+        with pytest.raises(ProtocolError):
             parser.parse_one()
 
     def test_depth_bomb(self):
-        parser = StreamParser()
+        parser = Parser()
         parser.feed(b"*1\r\n" * (MAX_DEPTH + 2))
-        with pytest.raises(WireProtocolError, match="nesting"):
+        with pytest.raises(ProtocolError, match="nesting"):
             parser.parse_one()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"$1_0\r\n0123456789\r\n",  # '_' separator
+            b"$ 2\r\nab\r\n",           # leading space
+            b"$2 \r\nab\r\n",           # trailing space
+            b"$+2\r\nab\r\n",           # explicit plus sign
+            b"$-\r\n",                  # bare sign
+            b"*1_0\r\n",                # '_' in an array length
+            b"%+1\r\n:1\r\n:2\r\n",     # signed map length
+            b":1_000\r\n",              # '_' in an integer
+            b": 7\r\n",                 # space in an integer
+            b":\r\n",                   # empty integer
+            b"(+5\r\n",                 # signed big number
+            b":" + b"9" * 5000 + b"\r\n",     # past int()'s digit limit
+            b"(" + b"9" * 5000 + b"\r\n",     # the same as a big number
+            b"$" + b"9" * 5000 + b"\r\n",     # a bulk length that long
+            b"*" + b"0" * 21 + b"\r\n",       # 21 characters of length
+        ],
+    )
+    def test_integer_framing_is_strict(self, data):
+        """Only an optional '-' then ASCII digits."""
+        parser = Parser()
+        parser.feed(data)
+        with pytest.raises(ProtocolError, match="bad"):
+            parser.parse_one()
+
+
+def test_wire_names_are_the_one_codec():
+    assert protocol.StreamParser is Parser
+    assert protocol.WireProtocolError is ProtocolError
+    assert protocol.encode is encode
 
 
 # --------------------------------------------------------------------------
@@ -317,12 +357,12 @@ def test_roundtrip_proto2(value):
 @given(st.binary(max_size=256))
 def test_arbitrary_bytes_never_crash(data):
     """Hostile prefixes either parse, stay pending, or raise cleanly."""
-    parser = StreamParser()
+    parser = Parser()
     parser.feed(data)
     try:
         while parser.parse_one() is not INCOMPLETE:
             pass
-    except WireProtocolError:
+    except ProtocolError:
         pass
 
 
@@ -333,11 +373,11 @@ def test_arbitrary_bytes_never_crash(data):
 )
 def test_valid_value_then_garbage(value, garbage):
     """A valid frame parses even when hostile bytes follow it."""
-    parser = StreamParser()
+    parser = Parser()
     parser.feed(encode(value, 3) + garbage)
     assert normalize(parser.parse_one()) == normalize(value)
     try:
         while parser.parse_one() is not INCOMPLETE:
             pass
-    except WireProtocolError:
+    except ProtocolError:
         pass
