@@ -9,14 +9,19 @@ For each fork engine this script:
 2. drives it with the same paced asyncio load loop as the ``figx-live``
    experiment — concurrent GET/SET workers plus a periodic ``BGSAVE``
    snapshotter — and records client-observed wall-clock latencies;
-3. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
+3. polls ``INFO`` until no BGSAVE is in progress and records the
+   server's ``failed_background_jobs`` and ``rdb_last_bgsave_status``
+   (a sliced save spans many commands, so a failure can land after the
+   load stops);
+4. sends ``SHUTDOWN`` and asserts the server exits cleanly (code 0).
 
 It then asserts the paper's headline result on the wire: the default
 fork's p99 **and** max latency exceed Async-fork's.  Per-engine
 percentiles land in a CSV (uploaded as a CI artifact) so a failing run
 can be diagnosed from the numbers alone.
 
-Exit codes: 0 ok, 1 latency gate failed, 2 server misbehaved.
+Exit codes: 0 ok, 1 latency gate failed, 2 server misbehaved (unclean
+exit, too few samples, no BGSAVE accepted, or a failed BGSAVE).
 """
 
 from __future__ import annotations
@@ -73,10 +78,28 @@ def read_ready(ready_file: str, proc, timeout_s: float = 20.0):
     raise TimeoutError("repro-serve never wrote its ready file")
 
 
+#: INFO polls allowed for the last BGSAVE to be reaped (each poll is a
+#: command, so each advances a sliced save by one step).
+INFO_POLLS = 10_000
+
+
+async def bgsave_outcome(client) -> dict[str, str]:
+    """INFO fields once no BGSAVE is in progress."""
+    for _ in range(INFO_POLLS):
+        text = (await client.execute("INFO")).decode()
+        fields = dict(
+            line.split(":", 1) for line in text.splitlines() if ":" in line
+        )
+        if fields["rdb_bgsave_in_progress"] == "0":
+            return fields
+    raise RuntimeError("the last BGSAVE never finished")
+
+
 async def smoke_engine(
     engine: str, duration_s: float, max_runtime_s: float
-) -> tuple[LoadStats, int]:
-    """One engine's full lifecycle; returns (load stats, exit code)."""
+) -> tuple[LoadStats, dict[str, str], int]:
+    """One engine's full lifecycle; returns (load stats, final INFO
+    fields, exit code)."""
     with tempfile.TemporaryDirectory() as tmp:
         ready_file = os.path.join(tmp, "ready")
         proc = launch_server(engine, ready_file, max_runtime_s)
@@ -91,6 +114,7 @@ async def smoke_engine(
             from repro.net.client import AsyncRespClient
 
             control = await AsyncRespClient.connect(host, port)
+            info = await bgsave_outcome(control)
             try:
                 await control.execute("SHUTDOWN", "NOSAVE", check=False)
             except ConnectionError:
@@ -101,7 +125,7 @@ async def smoke_engine(
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        return stats, code
+        return stats, info, code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,39 +147,51 @@ def main(argv: list[str] | None = None) -> int:
     rows = {}
     for engine in ENGINES:
         print(f"== {engine}: launching repro-serve ==", flush=True)
-        stats, code = asyncio.run(
+        stats, info, code = asyncio.run(
             smoke_engine(engine, args.duration, args.max_runtime)
         )
         p50 = stats.percentile(0.50)
         p99 = stats.percentile(0.99)
         mx = max(stats.latencies_ms)
+        failed_jobs = int(info["failed_background_jobs"])
+        status = info["rdb_last_bgsave_status"]
         rows[engine] = (len(stats.latencies_ms), p50, p99, mx,
-                        stats.bgsaves, code)
+                        stats.bgsaves, failed_jobs, status, code)
         print(
             f"   {engine}: n={len(stats.latencies_ms)} p50={p50:.2f}ms "
             f"p99={p99:.2f}ms max={mx:.2f}ms bgsaves={stats.bgsaves} "
-            f"exit={code}",
+            f"failed_jobs={failed_jobs} last_bgsave={status} exit={code}",
             flush=True,
         )
 
     with open(args.csv, "w") as handle:
-        handle.write("engine,samples,p50_ms,p99_ms,max_ms,bgsaves,exit\n")
+        handle.write(
+            "engine,samples,p50_ms,p99_ms,max_ms,bgsaves,"
+            "failed_background_jobs,rdb_last_bgsave_status,exit\n"
+        )
         for engine in ENGINES:
-            n, p50, p99, mx, bg, code = rows[engine]
+            n, p50, p99, mx, bg, failed_jobs, status, code = rows[engine]
             handle.write(
-                f"{engine},{n},{p50:.3f},{p99:.3f},{mx:.3f},{bg},{code}\n"
+                f"{engine},{n},{p50:.3f},{p99:.3f},{mx:.3f},{bg},"
+                f"{failed_jobs},{status},{code}\n"
             )
     print(f"wrote {args.csv}")
 
     failures = []
     for engine in ENGINES:
-        n, _, _, _, bg, code = rows[engine]
+        n, _, _, _, bg, failed_jobs, status, code = rows[engine]
         if code != 0:
             failures.append(f"{engine}: unclean shutdown (exit {code})")
         if n < 100:
             failures.append(f"{engine}: only {n} samples")
         if bg < 1:
             failures.append(f"{engine}: no BGSAVE completed")
+        if failed_jobs != 0:
+            failures.append(
+                f"{engine}: failed_background_jobs={failed_jobs}"
+            )
+        if status != "ok":
+            failures.append(f"{engine}: rdb_last_bgsave_status={status}")
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)

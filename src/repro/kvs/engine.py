@@ -9,14 +9,22 @@ the child, exactly like the real systems.
 
 Child work is *cooperative*: ``SnapshotJob.step_child()`` advances the
 child's page-table copy (Async-fork) by one step so tests can interleave
-parent queries at any granularity, and ``SnapshotJob.finish()`` completes
-the copy plus serialization in one go.
+parent queries at any granularity.  Serialization comes two ways.
+``SnapshotJob.finish()`` completes the copy and serializes whatever is
+left in one call, which is what the simulated servers do at the reap.
+``SnapshotJob.write_slice(budget)`` serializes one byte-budgeted slice
+per call, so a server that shares its thread with the child (the live
+wire server) spends at most about one slice per command on it; the
+payload and digest are the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from repro.config import EngineConfig
 from repro.errors import (
@@ -35,6 +43,7 @@ from repro.kvs.store import KvStore, ValueRef
 from repro.mem.frames import FrameAllocator
 from repro.obs import tracer as obs
 from repro.sim.disk import DiskDevice
+from repro.units import PAGE_SIZE
 
 
 @dataclass
@@ -169,23 +178,103 @@ class SnapshotJob(ForkJob):
         #: Writes the fork point absorbed from the dirty counter; given
         #: back on a §4.4 rollback/abort so the save point re-fires.
         self._dirty_at_fork = dirty_at_fork
+        #: Sliced serialization state (:meth:`write_slice`): the writer,
+        #: the rest of the child's keyspace walk, the payload offset at
+        #: which each entry ends, entries written, and the joined file
+        #: once every entry is in.
+        self._writer: Optional[rdb.Writer] = None
+        self._entries: Optional[Iterator[tuple[bytes, bytes]]] = None
+        self._ends: Optional[np.ndarray] = None
+        self._written = 0
+        self._snapshot: Optional[rdb.SnapshotFile] = None
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down; un-absorb the fork point's dirty count."""
         if self._dirty_at_fork and self.report is None:
             self.engine.store.dirty_since_save += self._dirty_at_fork
             self._dirty_at_fork = 0
+        self._writer = self._entries = self._snapshot = None
         super().abort(reason=reason)
 
+    @property
+    def serialized(self) -> bool:
+        """Whether :meth:`write_slice` has written and joined the payload."""
+        return self._snapshot is not None
+
+    def write_slice(self, budget: int) -> int:
+        """Take one step of the sliced serialization; returns bytes written.
+
+        The resumable form of :meth:`finish`'s serialization, for a
+        server that must spend no more than about one slice's time per
+        command on the child (the wire server, DESIGN.md §15).  The
+        first call plans: the keyspace walk's page plan and, from the
+        fork-time key table, every entry's size before its value is
+        read.  Each later call writes the entries that fit in ``budget``
+        payload bytes (more only when one entry alone is larger),
+        reading at most ``budget`` bytes of pages per ``read_pages``
+        call.  The call after the last entry joins the payload; then
+        :attr:`serialized` is true and :meth:`finish` only persists and
+        retires.  Any failure aborts the job and re-raises.
+        """
+        try:
+            if self._writer is None:
+                self._drain_child()
+                self._plan_slices(budget)
+                return 0
+            start = self._written
+            if start == len(self._ends):
+                self._snapshot = self._writer.close()
+                return 0
+            base = int(self._ends[start - 1]) if start else 0
+            stop = int(
+                np.searchsorted(self._ends, base + budget, side="right")
+            )
+            stop = max(stop, start + 1)
+            nbytes = self._writer.write(islice(self._entries, stop - start))
+        except Exception:
+            if not self.done:
+                self.abort(reason="serialize")
+            raise
+        self._written = stop
+        if obs.ACTIVE:
+            obs.emit_instant(
+                "kvs.snapshot.slice",
+                obs.CAT_KVS,
+                self.engine.clock.now,
+                keys=stop - start,
+                bytes=nbytes,
+            )
+        return nbytes
+
+    def _plan_slices(self, budget: int) -> None:
+        table = self._table
+        count = len(table)
+        value_sizes = np.array(
+            [ref.length for ref in table.values()], dtype=np.int64
+        )
+        key_sizes = np.fromiter(map(len, table), np.int64, count)
+        self._ends = np.cumsum(key_sizes + value_sizes + 8)
+        self._writer = rdb.Writer(count)
+        self._entries = self.engine.store.items_from(
+            self.child.mm, table, chunk_pages=max(1, budget // PAGE_SIZE)
+        )
+
     def finish(self) -> SnapshotReport:
-        """Complete the copy, serialize, and retire the child."""
+        """Complete the copy, serialize what is left, retire the child."""
         if self.done:
             assert self.report is not None
             return self.report
-        self._drain_child()
-        snapshot = rdb.dump(
-            self.engine.store.items_from(self.child.mm, self._table)
-        )
+        if self._writer is None:
+            self._drain_child()
+            snapshot = rdb.dump(
+                self.engine.store.items_from(self.child.mm, self._table)
+            )
+        else:  # sliced: write what is left, if anything
+            snapshot = self._snapshot
+            if snapshot is None:
+                self._writer.write(self._entries)
+                snapshot = self._writer.close()
+            self._writer = self._entries = self._snapshot = None
         try:
             persist_ns = self.engine.disk.write(snapshot.size, what="rdb")
         except Exception:

@@ -8,8 +8,10 @@ Ties the pieces into something shaped like a real Redis front end:
 * the classic ``save <seconds> <changes>`` snapshot policy, evaluated
   against the simulated clock like Redis's serverCron;
 * cooperative background-job progress: each served command advances an
-  in-flight Async-fork child copy by one step, mimicking how the real
-  child runs concurrently with the event loop.
+  in-flight Async-fork child copy by one step and, on a server built
+  with ``snapshot_slice_bytes`` (the live wire server), one slice of the
+  BGSAVE child's serialization, mimicking how the real child runs
+  concurrently with the event loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from repro.kvs.engine import KvEngine, RewriteJob, SnapshotJob
 from repro.kvs.latency_monitor import LatencyMonitor
 from repro.kvs.resp import OK, PONG, RespError, RespValue
 from repro.units import MSEC, SEC
+
+
+#: Background-job failures serverCron records instead of raising.
+_JOB_ERRORS = (DiskError, ForkError, KvsError)
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,15 @@ class CommandServer:
         engine: KvEngine,
         save_points: tuple[SavePoint, ...] = DEFAULT_SAVE_POINTS,
         latency_threshold_ms: float = 0.01,
+        snapshot_slice_bytes: int = 0,
     ) -> None:
         self.engine = engine
         self.save_points = save_points
+        #: When set, serverCron serializes a BGSAVE child's snapshot this
+        #: many payload bytes per command instead of all at once when
+        #: the copy is done (the live wire server sets it; simulated
+        #: servers keep the one-shot reap).
+        self.snapshot_slice_bytes = snapshot_slice_bytes
         self.parser = resp.Parser()
         #: Redis's latency monitoring framework; the fork event is where
         #: operators first see the snapshot spike ([43], [44]).
@@ -185,12 +197,25 @@ class CommandServer:
         needs no more parent help — completes the job through
         :meth:`_job_done`, so ``LASTSAVE``/``INFO`` advance and the next
         save point can fire without anyone draining the job by hand.
+        With ``snapshot_slice_bytes`` set, a BGSAVE child whose copy is
+        done writes one slice per tick instead, and the tick after the
+        last slice reaps it (as Redis's ``checkChildrenDone`` notices a
+        child only once it has exited).
         """
         if self._active_job is not None:
             job = self._active_job
             job.step_child()
-            if job.failed or job.child_copy_done:
+            if job.failed:
                 self._reap(job)
+            elif job.child_copy_done:
+                if (
+                    self.snapshot_slice_bytes
+                    and isinstance(job, SnapshotJob)
+                    and not job.serialized
+                ):
+                    self._write_slice(job)
+                else:
+                    self._reap(job)
             return
         elapsed = self.engine.clock.now - self._last_save_ns
         dirty = self.engine.store.dirty_since_save
@@ -206,11 +231,19 @@ class CommandServer:
                 self._failed_jobs += 1
                 self._last_bgsave_status = "err"
 
+    def _write_slice(self, job: SnapshotJob) -> None:
+        """Advance a sliced BGSAVE child by one step (or bury it)."""
+        try:
+            job.write_slice(self.snapshot_slice_bytes)
+        except _JOB_ERRORS as exc:
+            # write_slice() already aborted the job.
+            self._job_failed(job, exc)
+
     def _reap(self, job) -> None:
         """Finish (or bury) a background job whose child work is done."""
         try:
             job.finish()
-        except (DiskError, ForkError, KvsError) as exc:
+        except _JOB_ERRORS as exc:
             # job.finish() already routed the failure through
             # job.abort(); serverCron records it and frees the slot —
             # it must never propagate an error into a client reply.

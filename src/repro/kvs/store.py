@@ -10,12 +10,14 @@ after a fork, and (under Async-fork) proactive synchronizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.errors import KvsError
 from repro.kvs.allocator import JemallocArena
 from repro.mem.address_space import AddressSpace, table_run_bounds
-from repro.units import PAGE_SIZE
+from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 _PAGE_MASK = ~(PAGE_SIZE - 1)
 
@@ -99,6 +101,7 @@ class KvStore:
         self,
         mm: AddressSpace,
         table: Optional[dict[bytes, ValueRef]] = None,
+        chunk_pages: Optional[int] = None,
     ) -> Iterator[tuple[bytes, bytes]]:
         """Read every (key, value) pair through *another* address space.
 
@@ -112,51 +115,27 @@ class KvStore:
         the order the key walk first touches it, so faults happen in the
         same order as a value-by-value walk.  Consecutive first touches
         inside one PTE table are read together through
-        :meth:`~repro.mem.address_space.AddressSpace.read_pages`, and the
-        walk streams: a page's bytes are dropped after the last key that
-        uses it, so the cache holds about one table-run of pages rather
-        than the whole keyspace.
+        :meth:`~repro.mem.address_space.AddressSpace.read_pages`, at most
+        ``chunk_pages`` per call when given (a sliced BGSAVE reads only
+        what its slice needs; ``read_pages`` makes any split observably
+        the same), and the walk streams: a page's bytes are dropped after
+        the last key that uses it, so the cache holds about one table-run
+        of pages rather than the whole keyspace.
+
+        The plan (pages in first-touch order, each page's last touch) is
+        built with numpy when this is called, not on the first item.
         """
         items = list((self._table if table is None else table).items())
-        # Plan: pages in first-touch order, and the last key using each.
-        order: list[int] = []
-        last_use: dict[int, int] = {}
-        for i, (_, ref) in enumerate(items):
-            page = ref.vaddr & _PAGE_MASK
-            end = ref.vaddr + ref.length
-            while page < end:
-                if page not in last_use:
-                    order.append(page)
-                last_use[page] = i
-                page += PAGE_SIZE
+        order, is_last, key_start = _plan_pages(items)
         bounds = table_run_bounds(order)
+        if chunk_pages is not None:
+            bounds = [
+                cut
+                for lo, hi in zip(bounds, bounds[1:])
+                for cut in range(lo, hi, chunk_pages)
+            ] + [len(order)]
         runs = (order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        cache: dict[int, bytes] = {}
-
-        def page_bytes(page: int, i: int) -> bytes:
-            blob = cache.get(page)
-            while blob is None:
-                run = next(runs)
-                cache.update(zip(run, mm.read_pages(run)))
-                blob = cache.get(page)
-            if last_use[page] == i:
-                del cache[page]
-            return blob
-
-        for i, (key, ref) in enumerate(items):
-            here = ref.vaddr
-            end = here + ref.length
-            page = here & _PAGE_MASK
-            if here < end <= page + PAGE_SIZE:  # the common one-page value
-                yield key, page_bytes(page, i)[here - page : end - page]
-                continue
-            parts: list[bytes] = []
-            while here < end:
-                page = here & _PAGE_MASK
-                stop = min(end, page + PAGE_SIZE)
-                parts.append(page_bytes(page, i)[here - page : stop - page])
-                here = stop
-            yield key, b"".join(parts)
+        return _walk(items, key_start, is_last, runs, mm)
 
     def table_snapshot(self) -> dict[bytes, ValueRef]:
         """Shallow copy of the key table, as inherited by a forked child."""
@@ -166,3 +145,75 @@ class KvStore:
         """Total bytes of stored values."""
         return sum(ref.length for ref in self._table.values())
 
+
+def _plan_pages(
+    items: list[tuple[bytes, ValueRef]],
+) -> tuple[list[int], list[bool], list[int]]:
+    """The walk's page plan, built with numpy.
+
+    Key ``i`` touches the pages holding its value's bytes; an empty
+    value touches none.  Returns the pages in first-touch order; for
+    every touch, in walk order, whether it is the page's last; and the
+    index of each key's first touch.
+    """
+    n = len(items)
+    vaddr = np.array([ref.vaddr for _, ref in items], dtype=np.int64)
+    length = np.array([ref.length for _, ref in items], dtype=np.int64)
+    first = vaddr & _PAGE_MASK
+    last = (vaddr + length - 1) & _PAGE_MASK
+    span = np.where(length > 0, ((last - first) >> PAGE_SHIFT) + 1, 0)
+    if (span == 1).all():  # the common case: every value on one page
+        touches, key_start = first, range(n)
+    else:
+        key_start = np.cumsum(span) - span
+        owner = np.repeat(np.arange(n), span)
+        step = np.arange(len(owner)) - key_start[owner]
+        touches = first[owner] + (step << PAGE_SHIFT)
+        key_start = key_start.tolist()
+    # Group equal pages, keeping walk order inside each group: a group's
+    # head is the page's first touch, its tail the last.
+    by_page = np.argsort(touches, kind="stable")
+    sorted_pages = touches[by_page]
+    heads = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
+    tails = np.append(heads, len(touches))[1:] - 1
+    is_last = np.zeros(len(touches), dtype=bool)
+    is_last[by_page[tails]] = True
+    order = touches[np.sort(by_page[heads])]
+    return order.tolist(), is_last.tolist(), key_start
+
+
+def _walk(
+    items: list[tuple[bytes, ValueRef]],
+    key_start: Iterable[int],
+    is_last: list[bool],
+    runs: Iterator[list[int]],
+    mm: AddressSpace,
+) -> Iterator[tuple[bytes, bytes]]:
+    """The streaming half of :meth:`KvStore.items_from`."""
+    cache: dict[int, bytes] = {}
+
+    def page_bytes(page: int, touch: int) -> bytes:
+        blob = cache.get(page)
+        while blob is None:
+            run = next(runs)
+            cache.update(zip(run, mm.read_pages(run)))
+            blob = cache.get(page)
+        if is_last[touch]:
+            del cache[page]
+        return blob
+
+    for (key, ref), touch in zip(items, key_start):
+        here = ref.vaddr
+        end = here + ref.length
+        page = here & _PAGE_MASK
+        if here < end <= page + PAGE_SIZE:  # the common one-page value
+            yield key, page_bytes(page, touch)[here - page : end - page]
+            continue
+        parts: list[bytes] = []
+        while here < end:
+            page = here & _PAGE_MASK
+            stop = min(end, page + PAGE_SIZE)
+            parts.append(page_bytes(page, touch)[here - page : stop - page])
+            here = stop
+            touch += 1
+        yield key, b"".join(parts)

@@ -46,6 +46,16 @@ FORK_ENGINES: dict[str, Callable] = {
 
 READ_CHUNK = 64 * 1024
 
+#: Payload bytes a BGSAVE child serializes per served command.  The
+#: child shares the serving thread, so this is the extra work one
+#: command can pick up from a snapshot in flight (about 1.2 ms on a
+#: 2-vCPU VM).  Chosen on perfbench wire-snapshot: smaller slices cut
+#: p99 further but land on more commands, which costs throughput and
+#: p50; larger ones keep less of the p99 gain (256 / 384 / 512 KiB:
+#: p99 4.7x / 4.1x / 3.4x lower than one-shot serialization, ops/s
+#: -16% / -14% / -9%, over 5 runs each).
+SNAPSHOT_SLICE_BYTES = 384 * 1024
+
 
 @dataclass(frozen=True)
 class WireCostModel(CostModel):
@@ -76,10 +86,12 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 7379
     #: Resident dataset populated at startup, so forks have real page
-    #: tables to copy.  Kept small: the emulated instance size below,
-    #: not the resident byte count, decides the fork call's cost — and a
-    #: small set keeps the child's snapshot serialization (which shares
-    #: the serving thread, unlike a real child process) to a few ms.
+    #: tables to copy.  The emulated instance size below, not the
+    #: resident byte count, decides the fork call's cost.  The child's
+    #: snapshot serialization shares the serving thread (unlike a real
+    #: child process) and costs about 5 ms per MiB on a 2-vCPU VM
+    #: (21 ms at 4k x 1 KiB), which is why the server runs it in
+    #: ``SNAPSHOT_SLICE_BYTES`` slices, one per served command.
     keys: int = 512
     value_size: int = 512
     #: Emulated instance size: fork-call costs are scaled as if the
@@ -153,7 +165,11 @@ def build_backend(config: ServerConfig) -> CommandServer:
         engine.fork_engine.costs = emulation_costs(
             engine.fork_engine.costs, inflation
         )
-    return CommandServer(engine, save_points=config.save_points)
+    return CommandServer(
+        engine,
+        save_points=config.save_points,
+        snapshot_slice_bytes=SNAPSHOT_SLICE_BYTES,
+    )
 
 
 def _build_proxy_backend(config: ServerConfig) -> CommandServer:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import tracemalloc
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.analysis import hooks
 from repro.kernel.forks.default import DefaultFork
 from repro.kernel.task import Process
@@ -134,6 +137,48 @@ class TestFirstTouchOrder:
             [t2 + 3 * PAGE_SIZE, t2 + 4 * PAGE_SIZE],
             [t1 + PAGE_SIZE],
         ]
+
+
+#: A value anywhere in the three tables of ``_scattered_world``: empty,
+#: inside one page, or spanning pages and table boundaries.
+VALUES = st.lists(
+    st.tuples(
+        st.integers(0, 3 * PTE_TABLE_SPAN - 3 * PAGE_SIZE),
+        st.sampled_from([0, 1, 96, PAGE_SIZE - 1, PAGE_SIZE, 3 * PAGE_SIZE]),
+    ),
+    max_size=40,
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(values=VALUES, chunk_pages=st.sampled_from([None, 1, 2, 7]))
+def test_any_table_and_read_cap_match_the_reference_walk(values, chunk_pages):
+    """The numpy plan and the ``chunk_pages`` cap change nothing a
+    value-by-value walk would show."""
+    mm_a, scattered = _scattered_world()
+    mm_b, _ = _scattered_world()
+    base = scattered[b"a"].vaddr
+    table = {
+        b"k%02d" % i: ValueRef(base + offset, length)
+        for i, (offset, length) in enumerate(values)
+    }
+    calls: list[int] = []
+    real = mm_a.read_pages
+
+    def spy(pages):
+        calls.append(len(pages))
+        return real(pages)
+
+    mm_a.read_pages = spy
+    got = list(KvStore(mm_a).items_from(mm_a, table, chunk_pages))
+    assert got == list(_reference_walk(mm_b, table))
+    assert _observe(mm_a) == _observe(mm_b)
+    if chunk_pages is not None:
+        assert all(n <= chunk_pages for n in calls)
 
 
 class TestStreaming:

@@ -18,6 +18,7 @@ import pytest
 from repro.kvs.resp import RespError, SimpleString
 from repro.net.app import (
     FORK_ENGINES,
+    SNAPSHOT_SLICE_BYTES,
     ReproServer,
     ServerConfig,
     WireCostModel,
@@ -258,6 +259,25 @@ class TestCostEmulation:
                          value_size=64, sim_size_gb=0.0)
         )
         assert plain.engine.fork_engine.costs.pte_entry_copy_ns == 33
+
+    @pytest.mark.parametrize("engine", sorted(FORK_ENGINES))
+    def test_bgsave_is_sliced_into_the_one_shot_file(self, engine):
+        config = ServerConfig(engine=engine, port=0, keys=1500,
+                              value_size=1024)
+        sliced, twin = build_backend(config), build_backend(config)
+        assert sliced.snapshot_slice_bytes == SNAPSHOT_SLICE_BYTES
+        sliced.handle([b"BGSAVE"])
+        ticks = 0
+        while sliced._active_job is not None:
+            sliced.handle([b"SET", b"key:%012d" % ticks, b"new"])
+            ticks += 1
+        # 1.5 MB of values: a planning tick, several slices, a join
+        # tick and the reap.
+        assert ticks >= 1.5e6 // SNAPSHOT_SLICE_BYTES + 3
+        want = twin.engine.save_now().file
+        got = sliced.last_snapshot_report.file
+        assert got.payload == want.payload
+        assert got.meta == want.meta
 
     def test_default_fork_stalls_wire_more_than_async(self):
         """The tentpole claim, at the bridge: one BGSAVE's kernel-busy

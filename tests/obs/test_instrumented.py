@@ -107,6 +107,21 @@ class TestKvsInstrumentation:
         job.finish()
         assert collector.count("kvs.bgsave") == 1
         assert collector.count("kvs.snapshot.finish") == 1
+        assert collector.count("kvs.snapshot.slice") == 0
+        # The sliced child: one instant per slice, with its keys and
+        # bytes (8 entries of 74 bytes; three fit in 256).
+        job = engine.bgsave()
+        job.result.session.run_to_completion()
+        while not job.serialized:
+            job.write_slice(256)
+        report = job.finish()
+        slices = [
+            (r.attrs["keys"], r.attrs["bytes"])
+            for r in collector.by_name("kvs.snapshot.slice")
+        ]
+        assert slices == [(3, 222), (3, 222), (2, 148)]
+        assert report.file.size == 8 + 592
+        assert collector.count("kvs.snapshot.finish") == 2
 
     def test_metrics_snapshot_names(self):
         engine = self.make_engine()
