@@ -35,13 +35,9 @@ The macro cases regenerate experiment points:
 ``fig45_point``
     One ``run_point`` of the Figure 4/5 latency experiment (default
     fork, 1 GiB) with a profile-scaled query count.
-``fig45_sweep`` / ``fig45_sweep_scalar``
+``fig45_sweep``
     A full fig4/5 sweep regeneration (three sizes x three methods) on
-    the vectorized timelines and, as the speedup evidence, the same
-    sweep forced onto the scalar reference loops
-    (``force_scalar_timeline``).  The two produce byte-identical
-    figures — the fixture tests pin that — so their median ratio is a
-    pure measure of the prefix-scan rewrite.
+    the vectorized timelines.
 ``cluster_round``
     One figx-cluster run (default fork, staggered policy): the
     per-shard ``free_at`` + machine-wide ``kernel_busy`` solve under a
@@ -71,7 +67,6 @@ PINNED = {
     "macro.async_drain": "async fork + full child-copy drain",
     "macro.fig45_point": "fig4/5 latency point, default fork @ 1 GiB",
     "macro.fig45_sweep": "fig4/5 sweep regeneration, vectorized timeline",
-    "macro.fig45_sweep_scalar": "fig4/5 sweep on the scalar reference loops",
     "macro.cluster_round": "one figx-cluster run (default, staggered)",
 }
 
@@ -258,7 +253,7 @@ def setup_fig45_sweep(profile: SimulationProfile):
     common.clear_cache()
     # The profile's own size ladder (all three methods per size), one
     # repeat, profile-scaled query count: a faithful single-seed sweep
-    # regeneration kept affordable enough to run its scalar twin too.
+    # regeneration kept affordable for every gate run.
     scaled = profile.scaled(
         query_count=fig45_queries(profile),
         repeats=1,
@@ -270,17 +265,6 @@ def op_fig45_sweep(scaled: SimulationProfile):
     from repro.experiments import fig04_05_def_latency
 
     return fig04_05_def_latency.run(scaled)
-
-
-def op_fig45_sweep_scalar(scaled: SimulationProfile):
-    from repro.experiments import fig04_05_def_latency
-    from repro.workload.openloop import force_scalar_timeline
-
-    force_scalar_timeline(True)
-    try:
-        return fig04_05_def_latency.run(scaled)
-    finally:
-        force_scalar_timeline(False)
 
 
 def setup_cluster_round(profile: SimulationProfile):
@@ -307,12 +291,6 @@ CASES = {
     "macro.async_drain": (setup_async_drain, op_async_drain, 5, True),
     "macro.fig45_point": (setup_fig45_point, op_fig45_point, 3, True),
     "macro.fig45_sweep": (setup_fig45_sweep, op_fig45_sweep, 3, True),
-    "macro.fig45_sweep_scalar": (
-        setup_fig45_sweep,
-        op_fig45_sweep_scalar,
-        2,
-        True,
-    ),
     "macro.cluster_round": (setup_cluster_round, op_cluster_round, 3, True),
 }
 

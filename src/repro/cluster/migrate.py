@@ -129,10 +129,6 @@ class SlotMigrator:
         """Whether every planned slot has been drained and finalized."""
         return self._started and not self._pending
 
-    @property
-    def slots_remaining(self) -> int:
-        return len(self._pending)
-
     def begin(self) -> None:
         """Mark every planned slot and index the keys to move.
 

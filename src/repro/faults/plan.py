@@ -119,7 +119,7 @@ class FaultSpec:
 
     ``after`` matching hits of the site pass unharmed before the spec
     starts firing; it then fires ``count`` times (``None`` = every
-    further matching hit, the legacy ``fail_after`` semantics).
+    further matching hit, e.g. an allocator that stays out of memory).
     ``magnitude`` parameterizes non-raising kinds: stall/rtt-spike
     nanoseconds, hang steps, bytes to corrupt.
     """

@@ -376,14 +376,6 @@ class AddressSpace:
         if self.frames.is_allocated(page.frame) and not page.locked:
             self.frames.free(page.frame)
 
-    def _drop_frame(self, frame: int) -> None:
-        if frame == ZERO_FRAME:
-            return
-        page = self.frames.page(frame)
-        if page.put() == 0:
-            self.frames.free(frame)
-        self.rss -= 1
-
     def _flush_tlb_range(self, lo: int, hi: int) -> None:
         self.tlb.flush_range(lo, hi)
 

@@ -7,7 +7,7 @@ the parent's proactive synchronization.  It copies the 512 entries,
 write-protects both sides (arming the data-page CoW), and raises the map
 counts of every referenced frame.
 
-All four helpers run at whole-table granularity (DESIGN.md §10): entries
+Both helpers run at whole-table granularity (DESIGN.md §10): entries
 move as one numpy copy, the referenced frame numbers are extracted with a
 single shift, and only the per-frame ``struct page`` bookkeeping remains
 a (tight, list-driven) Python loop.
@@ -15,15 +15,9 @@ a (tight, list-driven) Python loop.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.mem.flags import PteFlags
 from repro.mem.frames import FrameAllocator
 from repro.mem.pte_table import PteTable
 from repro.obs import tracer as obs
-
-_RW = np.uint64(int(PteFlags.RW))
-
 
 def clone_pte_table_into(
     src: PteTable,
@@ -52,32 +46,9 @@ def clone_pte_table_into(
     return src.present_count
 
 
-def unshare_pte_table(
-    shared: PteTable, frames: FrameAllocator
-) -> PteTable:
-    """ODF's table-CoW: give the faulting process a private copy.
-
-    The shared table's ``share_count`` is decremented by the caller (which
-    knows which PMD slot to repoint).  Entries are copied verbatim — they
-    are already write-protected from the fork — and map counts rise because
-    a new set of PTEs now references the same frames.
-    """
-    private = PteTable(frames.alloc("pte-table"))
-    private.copy_entries_from(shared)
-    frames.get_many(shared.referencing_frames_array())
-    return private
-
-
 def drop_pte_table_references(
     leaf: PteTable, frames: FrameAllocator
 ) -> int:
     """Release every frame reference a leaf table holds (rollback/exit)."""
     return frames.put_many(leaf.referencing_frames())
 
-
-def count_write_protected(leaf: PteTable) -> int:
-    """Number of present entries with the RW bit clear (test helper)."""
-    idx = leaf.present_array()
-    if not len(idx):
-        return 0
-    return int(np.count_nonzero((leaf.entries()[idx] & _RW) == 0))

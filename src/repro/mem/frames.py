@@ -8,20 +8,18 @@ Failure injection drives the §4.4 error-handling paths: a fault plan
 (:mod:`repro.faults`) schedules ``oom`` faults against the
 ``mem.frames.alloc`` site, which makes the parent's PGD/PUD copy, the
 child's PMD/PTE copy, or a proactive synchronization hit "out of
-memory" mid-flight, and the fork engine must roll back.  The historic
-single-purpose :meth:`FrameAllocator.fail_after` arm survives as a thin
-wrapper over the same site.
+memory" mid-flight, and the fork engine must roll back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.analysis import hooks
 from repro.errors import OutOfMemoryError
-from repro.faults.plan import SITE_FRAME_ALLOC, FaultPlan, FaultSpec
+from repro.faults.plan import SITE_FRAME_ALLOC, FaultPlan
 from repro.mem.page_struct import MapCountStore, PageStruct
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGE_SIZE
@@ -89,8 +87,6 @@ class FrameAllocator:
         self._contents: dict[int, bytearray] = {}
         #: Chaos plan injecting at the ``mem.frames.alloc`` site.
         self._fault_plan: Optional[FaultPlan] = None
-        #: Private plan backing the deprecated :meth:`fail_after` arm.
-        self._legacy_plan: Optional[FaultPlan] = None
         #: Unified metrics; ``alloc_count``/``free_count`` are views.
         self.metrics = MetricsRegistry()
         self._alloc_count = self.metrics.counter("frames.alloc")
@@ -127,62 +123,20 @@ class FrameAllocator:
         """Install (or remove with ``None``) the chaos fault plan.
 
         Every subsequent allocation asks the plan's
-        ``mem.frames.alloc`` site; a firing ``oom`` spec raises
-        :class:`OutOfMemoryError` exactly where the legacy arm did.
+        ``mem.frames.alloc`` site (detail ``purpose``, the allocation's
+        tag); a firing ``oom`` spec raises :class:`OutOfMemoryError`.
         """
         self._fault_plan = plan
-
-    def fail_after(
-        self,
-        remaining: int | None,
-        *,
-        only: Callable[[str], bool] | None = None,
-    ) -> None:
-        """Arm (or disarm with ``None``) allocation-failure injection.
-
-        .. deprecated:: PR 2
-            Thin wrapper over a single-spec :class:`~repro.faults.plan.
-            FaultPlan` at the ``mem.frames.alloc`` site; schedule faults
-            through a plan (:meth:`attach_fault_plan`) instead.
-
-        ``remaining`` allocations succeed; every later one matching
-        ``only`` (a predicate over the allocation purpose tag) raises
-        :class:`OutOfMemoryError`.
-        """
-        if remaining is None:
-            self._legacy_plan = None
-            return
-        match = None
-        if only is not None:
-            filt = only
-            match = lambda detail: filt(detail["purpose"])  # noqa: E731
-        plan = FaultPlan(seed=0)
-        plan.add(
-            FaultSpec(
-                site=SITE_FRAME_ALLOC,
-                kind="oom",
-                after=remaining,
-                count=None,
-                match=match,
-            )
-        )
-        self._legacy_plan = plan
-
-    def _injected_failure(self, purpose: str) -> bool:
-        for plan in (self._fault_plan, self._legacy_plan):
-            if plan is not None and (
-                plan.fire(SITE_FRAME_ALLOC, purpose=purpose) is not None
-            ):
-                return True
-        return False
 
     # -- allocation ----------------------------------------------------------
 
     def alloc(self, purpose: str = "data") -> PageStruct:
         """Allocate a frame; ``purpose`` tags it (e.g. ``'pte-table'``)."""
+        plan = self._fault_plan
         if (
-            self._fault_plan is not None or self._legacy_plan is not None
-        ) and self._injected_failure(purpose):
+            plan is not None
+            and plan.fire(SITE_FRAME_ALLOC, purpose=purpose) is not None
+        ):
             raise OutOfMemoryError(
                 f"injected allocation failure (purpose={purpose})"
             )

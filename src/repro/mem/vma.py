@@ -219,10 +219,6 @@ class VmaList:
         """Sum of pages over all areas."""
         return sum(v.pages for v in self._vmas)
 
-    def clone_layout(self) -> list[Vma]:
-        """Fresh VMA objects with the same bounds/prot/tag (for fork)."""
-        return [Vma(v.start, v.end, v.prot, v.tag) for v in self._vmas]
-
 
 def aligned_range(start: int, length: int) -> tuple[int, int]:
     """Page-align a (start, length) request to a half-open byte range."""

@@ -12,7 +12,7 @@ import csv
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class Table:
@@ -181,8 +181,3 @@ def _slugify(text: str) -> str:
     text = text.strip().lower().split("\n")[-1]
     text = re.sub(r"[^a-z0-9]+", "-", text).strip("-")
     return text[:60]
-
-
-def fmt_rows(rows: Iterable[Iterable]) -> str:
-    """Quick helper for ad-hoc row dumps in examples."""
-    return "\n".join("  ".join(_fmt(c) for c in row) for row in rows)

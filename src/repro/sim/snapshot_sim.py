@@ -386,20 +386,15 @@ class _Runner:
         completion feedback genuinely needs stepping.
         """
         from repro.sim import snapshot_vec
-        from repro.workload.openloop import scalar_timeline_forced
 
-        if (
-            self.threads == 1
-            and self.config.inflight_per_client == 0
-            and not scalar_timeline_forced()
-        ):
+        if self.threads == 1 and self.config.inflight_per_client == 0:
             result = snapshot_vec.try_vectorized(self)
             if result is not None:
                 return result
         return self._run_scalar()
 
     def _run_scalar(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arrival-by-arrival reference loop."""
+        """The arrival-by-arrival loop (any thread count, back-pressure)."""
         arrivals = self.arrivals
         is_set = self.is_set
         tables = self.tables
@@ -415,9 +410,7 @@ class _Runner:
         completions = np.empty(n, dtype=np.int64)
 
         t_free = [0] * self.threads
-        single = self.threads == 1
-        free0 = 0  # scalar fast path
-        mm_free = 0  # mm-lock availability (multi-thread path)
+        mm_free = 0  # mm-lock availability
         clients = self.config.workload.config.clients
         per_client = self.config.inflight_per_client
         # 0 disables back-pressure: pure open-loop, timers at intended send.
@@ -449,32 +442,22 @@ class _Runner:
             # Whole-server stalls that begin before this arrival.
             while s_idx < n_stalls and stall_times[s_idx] <= t_arr:
                 st, sd = stall_times[s_idx], stall_durs[s_idx]
-                if single:
-                    free0 = max(free0, st) + sd
-                else:
-                    t_free = [max(f, st) + sd for f in t_free]
+                t_free = [max(f, st) + sd for f in t_free]
                 s_idx += 1
 
             # Allocator purge batches (jemalloc decay) before this arrival.
             while p_idx < n_purges and purge_times[p_idx] <= t_arr:
                 pt = purge_times[p_idx]
                 cost = self._apply_purge(pt, purge_starts[p_idx], forked)
-                if single:
-                    free0 = max(free0, pt) + cost
-                else:
-                    t_free = [max(f, pt) + cost for f in t_free]
+                t_free = [max(f, pt) + cost for f in t_free]
                 p_idx += 1
 
             # The BGSAVE/BGREWRITEAOF command.
             if i == self.fork_idx and not forked:
                 forked = True
-                if single:
-                    fork_start = max(t_arr, free0)
-                    free0 = fork_start + self.fork_ns
-                else:
-                    fork_start = max(t_arr, min(t_free))
-                    fork_end = fork_start + self.fork_ns
-                    t_free = [max(f, fork_end) for f in t_free]
+                fork_start = max(t_arr, min(t_free))
+                fork_end = fork_start + self.fork_ns
+                t_free = [max(f, fork_end) for f in t_free]
                 fork_at = int(fork_start)
                 trace.add(
                     "fork:" + method,
@@ -488,11 +471,8 @@ class _Runner:
                 self._arm_windows(fork_start)
 
             # Serve the query.
-            if single:
-                start = t_arr if t_arr > free0 else free0
-            else:
-                j = t_free.index(min(t_free))
-                start = t_arr if t_arr > t_free[j] else t_free[j]
+            j = t_free.index(min(t_free))
+            start = t_arr if t_arr > t_free[j] else t_free[j]
             svc = service[i]
             kernel_extra = 0  # page-fault work, serialized on the mm lock
 
@@ -561,10 +541,7 @@ class _Runner:
                 if self._persist_start <= start:
                     svc = int(svc * self._io_penalty)
 
-            if single:
-                end = start + svc + kernel_extra
-                free0 = end
-            elif kernel_extra:
+            if kernel_extra:
                 # Page-fault handling serializes on the process's memory
                 # locks (mmap_sem / PTE-table page locks), so concurrent
                 # KeyDB worker threads queue behind each other here.

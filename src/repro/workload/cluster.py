@@ -30,11 +30,7 @@ from repro.determinism import seeded_rng
 from repro.errors import KvsError
 from repro.metrics.latency import LatencySample, merge
 from repro.sim.network import NetworkLink, ProductionEnvironment
-from repro.workload.openloop import (
-    arrival_times,
-    busy_schedule,
-    scalar_timeline_forced,
-)
+from repro.workload.openloop import arrival_times, busy_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import SimCluster
@@ -202,12 +198,7 @@ def run_cluster_workload(
         rtts[i] = reply.rtt_ns
         shard_ids[i] = reply.shard_id
     # Phase 2 — solve the coupled queueing timeline.
-    solve = (
-        _solve_timeline_scalar
-        if scalar_timeline_forced()
-        else _solve_timeline
-    )
-    latencies, kernel_ns = solve(
+    latencies, kernel_ns = _solve_timeline(
         arrivals,
         service,
         kerns,
@@ -335,64 +326,4 @@ def _solve_timeline(
             ptr[s] += 1
     for s in range(n_shards):
         advance(s, n)
-    return latencies, kernel_ns
-
-
-def _solve_timeline_scalar(
-    arrivals: np.ndarray,
-    service: np.ndarray,
-    kerns: np.ndarray,
-    rtts: np.ndarray,
-    shard_ids: np.ndarray,
-    fork_batches: list[tuple[int, int, list[tuple[int, int]]]],
-    n_shards: int,
-    fixed_ns: int,
-    busy_batches: list[tuple[int, int, list[tuple[int, int]]]] = (),
-) -> tuple[np.ndarray, int]:
-    """Reference scalar recurrence (``REPRO_SCALAR_TIMELINE=1``)."""
-    n = len(arrivals)
-    latencies = np.empty(n, dtype=np.int64)
-    free_at = [0] * n_shards
-    kernel_busy = 0
-    kernel_ns = 0
-    batch_pos = 0
-    busy_pos = 0
-    for i in range(n):
-        arrival = int(arrivals[i])
-        if (
-            batch_pos < len(fork_batches)
-            and fork_batches[batch_pos][0] == i
-        ):
-            _, tick_start, evs = fork_batches[batch_pos]
-            batch_pos += 1
-            for shard_id, fork_ns in evs:
-                fixed = min(fork_ns, fixed_ns)
-                copy = fork_ns - fixed
-                kernel_start = max(tick_start + fixed, kernel_busy)
-                kernel_busy = kernel_start + copy
-                kernel_ns += copy
-                free_at[shard_id] = max(free_at[shard_id], kernel_busy)
-        if (
-            busy_pos < len(busy_batches)
-            and busy_batches[busy_pos][0] == i
-        ):
-            _, tick_start, evs = busy_batches[busy_pos]
-            busy_pos += 1
-            for shard_id, busy_ns in evs:
-                # Userspace migration work: shard busy, kernel lock free.
-                free_at[shard_id] = (
-                    max(free_at[shard_id], tick_start) + busy_ns
-                )
-        shard = int(shard_ids[i])
-        kern = int(kerns[i])
-        start = max(arrival, free_at[shard])
-        if kern > 0:
-            kernel_start = max(start, kernel_busy)
-            kernel_busy = kernel_start + kern
-            kernel_ns += kern
-            end = kernel_start + kern + int(service[i])
-        else:
-            end = start + int(service[i])
-        free_at[shard] = end
-        latencies[i] = end - arrival + int(rtts[i])
     return latencies, kernel_ns

@@ -14,8 +14,6 @@ client count while the long-run rate stays fixed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.determinism import seeded_rng
@@ -80,21 +78,6 @@ def arrival_times(
 # i.e. one ``np.maximum.accumulate`` prefix scan.  All operations are
 # int64 adds/maxima, so the vectorized schedule is *bit-identical* to
 # the scalar loop, not merely close.
-
-#: Environment toggle forcing every driver onto its scalar loop
-#: (testing and the perf baseline use it; see DESIGN.md §14).
-_SCALAR_TIMELINE = os.environ.get("REPRO_SCALAR_TIMELINE", "") == "1"
-
-
-def scalar_timeline_forced() -> bool:
-    """Whether the scalar (pre-vectorization) loops are forced on."""
-    return _SCALAR_TIMELINE
-
-
-def force_scalar_timeline(enabled: bool) -> None:
-    """Toggle the scalar loops at runtime (tests and benchmarks)."""
-    global _SCALAR_TIMELINE
-    _SCALAR_TIMELINE = bool(enabled)
 
 
 def busy_schedule(

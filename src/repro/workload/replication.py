@@ -35,11 +35,7 @@ from repro.errors import ReplicationError
 from repro.metrics.latency import LatencySample
 from repro.repl.master import FullSyncReport, ReplicationMaster
 from repro.repl.replica import ReplicaNode
-from repro.workload.openloop import (
-    arrival_times,
-    busy_schedule,
-    scalar_timeline_forced,
-)
+from repro.workload.openloop import arrival_times, busy_schedule
 
 
 @dataclass(frozen=True)
@@ -226,10 +222,6 @@ def _chain_latencies(
     maxima are int64, so the result is bit-identical to the scalar
     recurrence (see DESIGN.md §14).
     """
-    if scalar_timeline_forced():
-        return _chain_latencies_scalar(
-            arrivals, durations, stall_at, stall_ns
-        )
     if stall_at is None:
         ends = busy_schedule(arrivals, durations)
     else:
@@ -237,23 +229,3 @@ def _chain_latencies(
         dur = np.insert(durations, stall_at, np.int64(stall_ns))
         ends = np.delete(busy_schedule(arr, dur), stall_at)
     return ends - arrivals
-
-
-def _chain_latencies_scalar(
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    stall_at: Optional[int],
-    stall_ns: int,
-) -> np.ndarray:
-    """Reference scalar recurrence (``REPRO_SCALAR_TIMELINE=1``)."""
-    n = len(arrivals)
-    latencies = np.empty(n, dtype=np.int64)
-    free_at = 0
-    for i in range(n):
-        arrival = int(arrivals[i])
-        if i == stall_at:
-            free_at = max(free_at, arrival) + stall_ns
-        end = max(arrival, free_at) + int(durations[i])
-        free_at = end
-        latencies[i] = end - arrival
-    return latencies

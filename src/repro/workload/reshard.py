@@ -39,12 +39,7 @@ from repro.cluster.migrate import (
 from repro.errors import KvsError
 from repro.metrics.latency import LatencySample, merge
 from repro.sim.network import NetworkLink
-from repro.workload.cluster import (
-    ClusterWorkload,
-    _solve_timeline,
-    _solve_timeline_scalar,
-)
-from repro.workload.openloop import scalar_timeline_forced
+from repro.workload.cluster import ClusterWorkload, _solve_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import SimCluster
@@ -189,7 +184,8 @@ def run_reshard_workload(
                     events.append((shard.shard_id, clock.now - before))
             if events:
                 if fork_batches and fork_batches[-1][0] == i:
-                    # The scalar solver consumes one batch per index:
+                    # The scalar reference recurrence consumes one
+                    # batch per index (tests/workload/scalar_ref.py):
                     # fold into the coordinator's batch from this tick.
                     fork_batches[-1][2].extend(events)
                 else:
@@ -206,7 +202,7 @@ def run_reshard_workload(
             events = migrator.tick()
             if events:
                 # At most one busy batch lands per query index (one
-                # tick per stride), matching the scalar solver's walk.
+                # tick per stride), matching the scalar reference walk.
                 # The batch is anchored to the *arrival* instant: its
                 # busy_ns values were measured as clock deltas, and the
                 # engine clock runs ahead of the arrival timeline (it
@@ -241,12 +237,7 @@ def run_reshard_workload(
         rtts[i] = reply.rtt_ns
         shard_ids[i] = reply.shard_id
 
-    solve = (
-        _solve_timeline_scalar
-        if scalar_timeline_forced()
-        else _solve_timeline
-    )
-    latencies, kernel_ns = solve(
+    latencies, kernel_ns = _solve_timeline(
         arrivals,
         service,
         kerns,

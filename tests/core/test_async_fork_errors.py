@@ -7,13 +7,7 @@ import pytest
 from repro.core.async_fork import AsyncFork
 from repro.errors import ForkError
 from repro.units import MIB
-
-
-def pte_table_failures(frames, after: int) -> None:
-    """Arm the allocator to fail PTE-table/directory allocations."""
-    frames.fail_after(
-        after, only=lambda p: p.endswith("-table") or p == "pgd"
-    )
+from tests.faults.frame_faults import pte_table_failures
 
 
 def all_pmds_writable(mm) -> bool:
@@ -49,7 +43,7 @@ class TestCase1ParentCopyFailure:
         pte_table_failures(frames, 0)
         with pytest.raises(ForkError):
             AsyncFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         vma = next(iter(parent.mm.vmas))
         parent.mm.write_memory(vma.start, b"fine")
         assert parent.mm.read_memory(vma.start, 4) == b"fine"
@@ -58,7 +52,7 @@ class TestCase1ParentCopyFailure:
         pte_table_failures(frames, 0)
         with pytest.raises(ForkError):
             AsyncFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         result = AsyncFork().fork(parent)
         result.session.run_to_completion()
         child_vma = next(iter(result.child.mm.vmas))
@@ -72,7 +66,7 @@ class TestCase2ChildCopyFailure:
         result = AsyncFork().fork(parent)
         pte_table_failures(frames, 0)
         result.session.run_to_completion()
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         return result
 
     def test_session_marked_failed(self, parent, frames):
@@ -109,7 +103,7 @@ class TestCase3ProactiveSyncFailure:
         pte_table_failures(frames, 0)
         vma = next(iter(parent.mm.vmas))
         parent.mm.write_memory(vma.start, b"WRITE")  # sync fails, write ok
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         return result, vma
 
     def test_error_code_in_two_way_pointer(self, parent, frames):

@@ -13,13 +13,7 @@ import pytest
 from repro.analysis.mmsan import Mmsan
 from repro.core.async_fork import AsyncFork
 from repro.errors import ForkError
-
-
-def pte_table_failures(frames, after: int) -> None:
-    """Arm the allocator to fail PTE-table/directory allocations."""
-    frames.fail_after(
-        after, only=lambda p: p.endswith("-table") or p == "pgd"
-    )
+from tests.faults.frame_faults import pte_table_failures
 
 
 def audited(frames, *mms) -> Mmsan:
@@ -36,7 +30,7 @@ class TestCase1ParentCopyRollback:
         pte_table_failures(frames, 0)
         with pytest.raises(ForkError):
             AsyncFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         san = audited(frames, parent.mm)
         assert san.audit(pmd_markers=True) == []
 
@@ -44,7 +38,7 @@ class TestCase1ParentCopyRollback:
         pte_table_failures(frames, 0)
         with pytest.raises(ForkError):
             AsyncFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         san = audited(frames, parent.mm)
         assert san.audit(pmd_markers=True, strict_leaks=True) == []
 
@@ -52,7 +46,7 @@ class TestCase1ParentCopyRollback:
         pte_table_failures(frames, 0)
         with pytest.raises(ForkError):
             AsyncFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         result = AsyncFork().fork(parent)
         result.session.run_to_completion()
         san = audited(frames, parent.mm, result.child.mm)
@@ -66,7 +60,7 @@ class TestCase2ChildCopyRollback:
         result = AsyncFork().fork(parent)
         pte_table_failures(frames, 0)
         result.session.run_to_completion()
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         return result
 
     def test_invariants_after_child_copy_failure(self, parent, frames):
@@ -98,7 +92,7 @@ class TestCase3ProactiveSyncRollback:
         pte_table_failures(frames, 0)
         vma = next(iter(parent.mm.vmas))
         parent.mm.write_memory(vma.start, b"WRITE")  # sync fails, write ok
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         return result, vma
 
     def test_invariants_after_sync_failure(self, parent, frames):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.core.async_fork import AsyncFork
 from repro.units import MIB
+from tests.faults.frame_faults import fail_allocations
 
 
 class TestTrylockSkip:
@@ -73,14 +74,14 @@ class TestEngineAbortPaths:
         for i in range(8):
             engine.set(f"k{i}", b"v" * 900)
         job = engine.bgsave()
-        frames.fail_after(0, only=lambda p: p.endswith("-table"))
+        fail_allocations(frames, 0, only=lambda p: p.endswith("-table"))
         try:
             import pytest
 
             with pytest.raises(RuntimeError, match="snapshot child"):
                 job.finish()
         finally:
-            frames.fail_after(None)
+            frames.attach_fault_plan(None)
         # The engine survives and can snapshot again.
         report = engine.bgsave().finish()
         assert report.file.entry_count == 8

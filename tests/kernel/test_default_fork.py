@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ForkError
 from repro.kernel.forks.default import DefaultFork
 from repro.units import MIB
+from tests.faults.frame_faults import fail_allocations
 
 
 class TestSnapshotSemantics:
@@ -81,16 +82,16 @@ class TestStatsAndCosts:
 
 class TestErrors:
     def test_oom_raises_fork_error(self, parent, frames):
-        frames.fail_after(0, only=lambda p: p == "pte-table")
+        fail_allocations(frames, 0, only=lambda p: p == "pte-table")
         with pytest.raises(ForkError) as excinfo:
             DefaultFork().fork(parent)
         assert excinfo.value.phase == "parent-copy"
 
     def test_parent_still_usable_after_failed_fork(self, parent, frames):
-        frames.fail_after(0, only=lambda p: p == "pte-table")
+        fail_allocations(frames, 0, only=lambda p: p == "pte-table")
         with pytest.raises(ForkError):
             DefaultFork().fork(parent)
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         vma = next(iter(parent.mm.vmas))
         parent.mm.write_memory(vma.start, b"still-works")
         assert parent.mm.read_memory(vma.start, 11) == b"still-works"

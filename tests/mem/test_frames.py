@@ -7,6 +7,7 @@ import pytest
 from repro.errors import OutOfMemoryError
 from repro.mem.frames import FrameAllocator
 from repro.units import PAGE_SIZE
+from tests.faults.frame_faults import fail_allocations
 
 
 class TestAllocation:
@@ -74,27 +75,31 @@ class TestReuse:
 
 
 class TestFailureInjection:
+    """An ``oom`` plan at ``mem.frames.alloc``, attached to the allocator."""
+
     def test_fail_immediately(self, frames):
-        frames.fail_after(0)
+        fail_allocations(frames, 0)
         with pytest.raises(OutOfMemoryError):
             frames.alloc()
 
     def test_fail_after_n(self, frames):
-        frames.fail_after(2)
+        plan = fail_allocations(frames, 2)
         frames.alloc()
         frames.alloc()
-        with pytest.raises(OutOfMemoryError):
-            frames.alloc()
+        for _ in range(2):  # count=None: every later allocation fails
+            with pytest.raises(OutOfMemoryError):
+                frames.alloc()
+        assert [e.hit for e in plan.events] == [3, 4]
 
     def test_fail_filter_by_purpose(self, frames):
-        frames.fail_after(0, only=lambda p: p == "pte-table")
+        fail_allocations(frames, 0, only=lambda p: p == "pte-table")
         frames.alloc("data")  # unaffected
         with pytest.raises(OutOfMemoryError):
             frames.alloc("pte-table")
 
     def test_disarm(self, frames):
-        frames.fail_after(0)
-        frames.fail_after(None)
+        fail_allocations(frames, 0)
+        frames.attach_fault_plan(None)
         frames.alloc()  # must not raise
 
 

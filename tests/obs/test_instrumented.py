@@ -22,12 +22,7 @@ from repro.obs import tracer
 from repro.obs.tracer import ABORTED_SUFFIX, CAT_KERNEL, Tracer
 from repro.sim.interrupts import InterruptRecorder
 from repro.units import MIB
-
-
-def pte_table_failures(frames, after: int) -> None:
-    frames.fail_after(
-        after, only=lambda p: p.endswith("-table") or p == "pgd"
-    )
+from tests.faults.frame_faults import pte_table_failures
 
 
 @pytest.fixture
@@ -166,7 +161,7 @@ class TestAbortedSections:
         pte_table_failures(frames, 0)
         vma = next(iter(parent.mm.vmas))
         parent.mm.write_memory(vma.start, b"WRITE")
-        frames.fail_after(None)
+        frames.attach_fault_plan(None)
         assert result.session.failed
         aborted = "async:proactive-sync" + ABORTED_SUFFIX
         assert aborted in recorder.reasons

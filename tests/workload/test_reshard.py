@@ -9,7 +9,6 @@ from repro.cluster.cluster import SimCluster
 from repro.workload.cluster import (
     ClusterWorkloadSpec,
     _solve_timeline,
-    _solve_timeline_scalar,
     build_cluster_workload,
 )
 from repro.workload.reshard import (
@@ -17,6 +16,7 @@ from repro.workload.reshard import (
     prepopulate_versioned,
     run_reshard_workload,
 )
+from tests.workload.scalar_ref import solve_timeline_scalar
 
 SPEC = ClusterWorkloadSpec(
     count=600, n_keys=600, value_size=256, seed=3
@@ -152,7 +152,7 @@ def test_busy_batches_scalar_and_vector_agree(with_forks):
         arrivals, service, kerns, rtts, shard_ids, forks, 2, 100_000,
         busy_batches,
     )
-    ref = _solve_timeline_scalar(
+    ref = solve_timeline_scalar(
         arrivals, service, kerns, rtts, shard_ids, forks, 2, 100_000,
         busy_batches,
     )

@@ -6,12 +6,14 @@ that claim from three angles:
 
 * the :func:`busy_schedule` primitive against a literal transcription
   of ``end = max(arrival, prev_end) + dur`` over random chains;
-* the replication and cluster solvers against their scalar twins over
-  random instances — including fork batches landing mid-chain, shards
-  that never serve a query, and kernel-lock contention;
-* the full snapshot simulator run twice, vectorized vs
-  ``force_scalar_timeline``, comparing every observable down to the
-  Chrome-trace export bytes.
+* the replication and cluster solvers against the scalar reference
+  recurrences in :mod:`tests.workload.scalar_ref` over random
+  instances — including fork batches landing mid-chain, shards that
+  never serve a query, and kernel-lock contention;
+* the full snapshot simulator run twice, vectorized vs the scalar
+  ``_Runner._run_scalar`` loop (reached by making
+  ``snapshot_vec.try_vectorized`` decline), comparing every observable
+  down to the Chrome-trace export bytes.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import task
+from repro.sim import snapshot_vec
+from repro.sim.snapshot_sim import _Runner
 from repro.workload import cluster as wl_cluster
 from repro.workload import replication as wl_repl
-from repro.workload.openloop import (
-    busy_schedule,
-    event_slots,
-    force_scalar_timeline,
-    scalar_timeline_forced,
-)
+from repro.workload.openloop import busy_schedule, event_slots
 from tests.workload import timeline_fixture as tf
+from tests.workload.scalar_ref import (
+    chain_latencies_scalar,
+    solve_timeline_scalar,
+)
 
 
 def scalar_chain_ends(arrivals, durations, free_at=0):
@@ -94,7 +97,7 @@ class TestReplicationChain:
         vec = wl_repl._chain_latencies(
             arrivals, durations, stall_at, stall_ns
         )
-        ref = wl_repl._chain_latencies_scalar(
+        ref = chain_latencies_scalar(
             arrivals, durations, stall_at, stall_ns
         )
         assert np.array_equal(vec, ref)
@@ -136,7 +139,7 @@ class TestClusterSolver:
     def test_matches_scalar(self, seed):
         instance = _random_cluster_instance(seed)
         lat_v, kern_v = wl_cluster._solve_timeline(*instance)
-        lat_s, kern_s = wl_cluster._solve_timeline_scalar(*instance)
+        lat_s, kern_s = solve_timeline_scalar(*instance)
         assert np.array_equal(lat_v, lat_s)
         assert kern_v == kern_s
 
@@ -170,26 +173,33 @@ EXTRA_SCENARIOS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _vectorized_mode():
-    # These tests toggle the mode themselves; make sure it's restored.
-    saved = scalar_timeline_forced()
-    yield
-    force_scalar_timeline(saved)
+def _digest_both_paths(name, wl_kw, cfg_kw):
+    """Digest one scenario on the vectorized and on the scalar path.
 
+    A spy on ``_run_scalar`` proves the two runs took different paths:
+    the vectorized run never enters it; the scalar run, with
+    ``try_vectorized`` declining, does.
+    """
+    scalar_runs = []
+    run_scalar = _Runner._run_scalar
 
-def _digest_both_modes(name, wl_kw, cfg_kw):
+    def spy_run_scalar(self):
+        scalar_runs.append(self)
+        return run_scalar(self)
+
     saved = task._pid_counter
-    try:
-        force_scalar_timeline(False)
-        task._pid_counter = itertools.count(90_000)
-        vec = tf._snapshot_digest(name, wl_kw, cfg_kw)
-        force_scalar_timeline(True)
-        task._pid_counter = itertools.count(90_000)
-        ref = tf._snapshot_digest(name, wl_kw, cfg_kw)
-    finally:
-        force_scalar_timeline(False)
-        task._pid_counter = saved
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Runner, "_run_scalar", spy_run_scalar)
+        try:
+            task._pid_counter = itertools.count(90_000)
+            vec = tf._snapshot_digest(name, wl_kw, cfg_kw)
+            assert scalar_runs == []
+            mp.setattr(snapshot_vec, "try_vectorized", lambda runner: None)
+            task._pid_counter = itertools.count(90_000)
+            ref = tf._snapshot_digest(name, wl_kw, cfg_kw)
+            assert len(scalar_runs) == 1
+        finally:
+            task._pid_counter = saved
     assert vec == ref
 
 
@@ -199,7 +209,7 @@ def _digest_both_modes(name, wl_kw, cfg_kw):
     ids=[name for name, _, _ in EXTRA_SCENARIOS],
 )
 def test_snapshot_sim_scalar_vec_equivalence(name, wl_kw, cfg_kw):
-    _digest_both_modes(name, wl_kw, cfg_kw)
+    _digest_both_paths(name, wl_kw, cfg_kw)
 
 
 @settings(max_examples=6, deadline=None)
@@ -208,7 +218,7 @@ def test_snapshot_sim_scalar_vec_equivalence(name, wl_kw, cfg_kw):
     st.sampled_from(["default", "odf", "async"]),
 )
 def test_snapshot_sim_equivalence_random_seeds(seed, method):
-    _digest_both_modes(
+    _digest_both_paths(
         f"rand-{method}-{seed}",
         dict(count=3_000, size_gb=2, seed=seed),
         dict(method=method),
