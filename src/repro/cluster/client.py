@@ -21,6 +21,13 @@ Routing is *strict*: a command that is in neither
 ``COMMAND_KEY_SPEC`` nor ``KEYLESS_COMMANDS`` but carries arguments
 raises :class:`~repro.errors.UnroutableCommandError` instead of being
 silently sent to shard 0.
+
+Shards live in this process, so a hop calls the shard server with the
+argv (:meth:`~repro.kvs.server.CommandServer.call`) and gets back the
+reply value a RESP peer would parse; no bytes are encoded or parsed.
+The link is still charged the request's RESP size
+(:func:`~repro.kvs.resp.command_size`), so network fault plans and
+``net.rtt`` trace events see the bytes a wire client would send.
 """
 
 from __future__ import annotations
@@ -30,12 +37,16 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.slots import NUM_SLOTS, command_keys, key_slot
 from repro.errors import TooManyRedirectsError
-from repro.kvs import resp
-from repro.kvs.resp import RespError, encode_command
+from repro.kvs.resp import RespError, command_argv, command_size
 from repro.sim.network import NetworkLink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import SimCluster
+
+
+_ASKING = [b"ASKING"]
+_ASKING_SIZE = command_size(_ASKING)
+_CLUSTER_SLOTS = [b"CLUSTER", b"SLOTS"]
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,8 @@ class ClusterClient:
 
     def execute(self, *command) -> ClusterReply:
         """Send one command; follow redirects; return the final reply."""
-        parts = [
-            part.encode() if isinstance(part, str) else bytes(part)
-            for part in command
-        ]
-        payload = encode_command(*parts)
+        parts = command_argv(command)
+        size = command_size(parts)
         shard_id = self._target_for(parts[0], parts[1:])
         rtt_total = 0
         redirects = 0
@@ -101,7 +109,7 @@ class ClusterClient:
         self.commands_sent += 1
         while True:
             for _ in range(self.max_redirects + 1):
-                value, rtt = self._send(shard_id, payload, asking=asking)
+                value, rtt = self._send(shard_id, parts, size, asking)
                 asking = False
                 rtt_total += rtt
                 redirect = self._parse_redirect(value)
@@ -142,13 +150,9 @@ class ClusterClient:
         picks the shard (the proxy's health-based selection); redirects
         are not followed — a keyless command cannot bounce.
         """
-        parts = [
-            part.encode() if isinstance(part, str) else bytes(part)
-            for part in command
-        ]
-        payload = encode_command(*parts)
+        parts = command_argv(command)
         self.commands_sent += 1
-        value, rtt = self._send(shard_id, payload)
+        value, rtt = self._send(shard_id, parts, command_size(parts))
         return ClusterReply(value, shard_id, rtt, 0)
 
     def refresh_slot_cache(self, via: int = 0) -> int:
@@ -156,12 +160,8 @@ class ClusterClient:
 
         Returns the network time the refresh round trip cost.
         """
-        payload = encode_command(b"CLUSTER", b"SLOTS")
-        rtt = self.link.round_trip_ns(payload=len(payload))
-        server = self.cluster.shards[via].server
-        parser = resp.Parser()
-        parser.feed(server.feed(payload))
-        (rows,) = tuple(parser)
+        rtt = self.link.round_trip_ns(payload=command_size(_CLUSTER_SLOTS))
+        rows = self.cluster.shards[via].server.call(_CLUSTER_SLOTS)
         for start, end, (host, port) in rows:
             address = f"{bytes(host).decode()}:{port}"
             owner = self.cluster.slot_map.shard_of_address(address)
@@ -171,18 +171,19 @@ class ClusterClient:
         return rtt
 
     def _send(
-        self, shard_id: int, payload: bytes, asking: bool = False
+        self, shard_id: int, argv: list[bytes], size: int,
+        asking: bool = False,
     ) -> tuple[object, int]:
-        """One round trip; ``asking`` pipelines ASKING ahead of the
-        command in the same trip (how real clients honour ASK)."""
-        wire = encode_command(b"ASKING") + payload if asking else payload
-        rtt = self.link.round_trip_ns(payload=len(wire))
+        """One round trip of ``size`` request bytes; ``asking`` pipelines
+        ASKING ahead of the command in the same trip (how real clients
+        honour ASK), and only the command's reply is returned."""
+        if asking:
+            size += _ASKING_SIZE
+        rtt = self.link.round_trip_ns(payload=size)
         server = self.cluster.shards[shard_id].server
-        parser = resp.Parser()
-        parser.feed(server.feed(wire))
-        replies = tuple(parser)
-        # With ASKING pipelined the command's reply is the last one.
-        return replies[-1], rtt
+        if asking:
+            server.call(_ASKING)
+        return server.call(argv), rtt
 
     def _parse_redirect(self, value) -> Optional[tuple[str, int, int]]:
         if not isinstance(value, RespError):

@@ -16,12 +16,13 @@ the protocol Redis's ``redis-cli --cluster reshard`` drives:
    <slot> NODE <target>`` on both sides, flipping the shared slot map
    (epoch bump) so stale clients re-learn through ``MOVED``.
 
-Commands travel through each shard's ``server.feed`` — the same RESP
-path clients use — so migration traffic steps serverCron, contends
-with in-flight snapshot children, and obeys the redirect state machine
-it installs.  Every tick reports ``(shard_id, busy_ns)`` events the
-queueing solver turns into head-of-line blocking for concurrently
-arriving queries.
+Commands travel through each shard's ``server.call`` — the same
+in-process dispatch the cluster client uses, returning the reply value
+a RESP peer would parse — so migration traffic steps serverCron,
+contends with in-flight snapshot children, and obeys the redirect
+state machine it installs.  Every tick reports ``(shard_id, busy_ns)``
+events the queueing solver turns into head-of-line blocking for
+concurrently arriving queries.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.slots import key_slot
 from repro.errors import KvsError
-from repro.kvs import resp
-from repro.kvs.resp import RespError, encode_command
+from repro.kvs.resp import RespError
 from repro.sim.network import NetworkLink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,12 +98,8 @@ class SlotMigrator:
     # ------------------------------------------------------------------
 
     def _feed(self, shard_id: int, *parts: bytes):
-        """One RESP command through a shard's server; single reply."""
-        server = self.cluster.shards[shard_id].server
-        parser = resp.Parser()
-        parser.feed(server.feed(encode_command(*parts)))
-        (value,) = tuple(parser)
-        return value
+        """One command through a shard's server; its reply value."""
+        return self.cluster.shards[shard_id].server.call(list(parts))
 
     def _feed_ok(self, shard_id: int, *parts: bytes):
         value = self._feed(shard_id, *parts)

@@ -11,6 +11,7 @@ way ``redis-cli --cluster create`` splits a fresh cluster.
 
 from __future__ import annotations
 
+from binascii import crc_hqx
 from dataclasses import dataclass
 
 #: Redis Cluster's fixed key space.
@@ -23,25 +24,12 @@ BASE_PORT = 7000
 HOST = "127.0.0.1"
 
 
-def _build_crc16_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return tuple(table)
-
-
-_CRC16_TABLE = _build_crc16_table()
-
-
 def crc16(data: bytes) -> int:
-    """CRC16-CCITT (XMODEM), the checksum Redis Cluster specifies."""
-    crc = 0
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC16-CCITT (XMODEM), the checksum Redis Cluster specifies.
+
+    ``binascii.crc_hqx`` with a zero seed is exactly this CRC, in C.
+    """
+    return crc_hqx(data, 0)
 
 
 def hashable_part(key: bytes) -> bytes:

@@ -128,13 +128,57 @@ def encode(value, proto: int = 2) -> bytes:
     raise TypeError(f"cannot encode {type(value).__name__} as RESP")
 
 
-def encode_command(*args) -> bytes:
-    """Serialize a client command as an array of bulk strings."""
-    normalized = [
-        a if isinstance(a, (bytes, bytearray)) else str(a).encode()
+def command_argv(args) -> list[bytes]:
+    """A command's arguments as the bulk strings a server receives.
+
+    ``str`` becomes UTF-8, any other non-bytes value its ``str()``
+    (``5`` -> ``b"5"``), and bytes-likes become plain ``bytes``.
+    """
+    return [
+        a if type(a) is bytes
+        else bytes(a) if isinstance(a, (bytes, bytearray))
+        else str(a).encode()
         for a in args
     ]
-    return encode(normalized)
+
+
+def encode_command(*args) -> bytes:
+    """Serialize a client command as an array of bulk strings."""
+    return encode(command_argv(args))
+
+
+def command_size(argv) -> int:
+    """``len(encode_command(*argv))`` for an argv of bytes, by arithmetic."""
+    size = 3 + len(str(len(argv)))  # "*<n>\r\n"
+    for arg in argv:
+        n = len(arg)
+        size += 5 + len(str(n)) + n  # "$<len>\r\n<arg>\r\n"
+    return size
+
+
+def reply_value(value) -> RespValue:
+    """The value a RESP peer parses from ``encode(value)`` at proto 2.
+
+    What an in-process caller of a server gets instead of the reply
+    bytes.  Plain ``bytes``, ``int`` and ``None`` (and simple strings
+    without a line break) come back as they are, an error comes back
+    rebuilt with its message sanitized; anything else really goes
+    through :func:`encode` and a :class:`Parser`, so a value the wire
+    cannot carry raises the same ``TypeError`` here.
+    """
+    kind = type(value)
+    if kind is bytes or kind is int or value is None:
+        return value
+    if kind is SimpleString and b"\r\n" not in value:
+        return value
+    if kind is RespError:
+        message = value.message.replace("\r", " ").replace("\n", " ")
+        # The UTF-8 round trip raises on text the wire cannot carry
+        # (lone surrogates), as encode() does.
+        return RespError(message.encode().decode())
+    parser = Parser()
+    parser.feed(encode(value))
+    return parser.parse_one()
 
 
 OK = SimpleString(b"OK")

@@ -3,7 +3,9 @@
 Ties the pieces into something shaped like a real Redis front end:
 
 * RESP request parsing / reply encoding through :mod:`repro.kvs.resp`,
-  the same hardened codec the live frontend (:mod:`repro.net`) uses;
+  the same hardened codec the live frontend (:mod:`repro.net`) uses
+  (``feed``), and an in-process entry for callers in the same process
+  (``call``: argv in, the parsed reply value out);
 * a command table (strings subset + persistence + introspection);
 * the classic ``save <seconds> <changes>`` snapshot policy, evaluated
   against the simulated clock like Redis's serverCron;
@@ -146,6 +148,16 @@ class CommandServer:
         for command in self.parser:
             replies.append(resp.encode(self.handle(command)))
         return b"".join(replies)
+
+    def call(self, argv: list) -> RespValue:
+        """Serve one command array in process; returns the reply value.
+
+        The value is what a RESP peer would parse from :meth:`feed`'s
+        reply bytes (:func:`~repro.kvs.resp.reply_value`), so in-process
+        callers (the cluster client, the slot migrator) see exactly what
+        a wire client sees without a serialize/parse round trip.
+        """
+        return resp.reply_value(self.handle(argv))
 
     def handle(self, command) -> RespValue:
         """Dispatch one parsed command array; returns the reply value."""

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.cluster.client import ClusterClient, ClusterReply
 from repro.cluster.slots import command_keys
 from repro.errors import NetworkPartitionError
-from repro.kvs.resp import RespError
+from repro.kvs.resp import RespError, command_argv
 from repro.metrics.usage import UsageMeter
 from repro.repl.detector import FailureDetector
 from repro.sim.network import NetworkLink
@@ -203,10 +203,7 @@ class ClusterProxy:
 
     def execute(self, *command) -> ClusterReply:
         """Route one command; meter it under its tenant."""
-        parts = [
-            part.encode() if isinstance(part, str) else bytes(part)
-            for part in command
-        ]
+        parts = command_argv(command)
         self._maybe_probe()
         name = parts[0].upper()
         keys = command_keys(name, parts[1:], strict=True)

@@ -66,7 +66,7 @@ class ProxyFrontend(CommandServer):
         """Route one parsed command array through the proxy.
 
         ServerCron is *not* run here: every routed command reaches a
-        shard through ``ShardedCommandServer.feed``, which runs that
+        shard through ``ShardedCommandServer.call``, which runs that
         shard's own cron (stepping its snapshot child cooperatively).
         """
         if not isinstance(command, list) or not command:

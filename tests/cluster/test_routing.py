@@ -181,3 +181,26 @@ class TestClusterClient:
         assert reply.redirects == 1
         assert reply.rtt_ns == 2 * link.environment.rtt_ns
         assert link.sends == 2
+
+
+class TestArgumentEncoding:
+    """Non-bytes arguments reach the shard as their RESP bulk strings:
+    ``str`` as UTF-8, anything else as its ``str()`` (``5`` -> ``b"5"``),
+    the rule ``encode_command`` applies on the wire."""
+
+    def test_int_value_is_stored_as_its_digits(self, cluster):
+        client = cluster.client()
+        assert client.execute("SET", "k", 5).value == b"OK"
+        assert client.execute(b"GET", b"k").value == b"5"
+        assert client.execute("INCRBY", "k", 10).value == 15
+
+    def test_int_ttl_is_accepted(self, cluster):
+        client = cluster.client()
+        client.execute(b"SET", b"k", b"v")
+        assert client.execute(b"EXPIRE", b"k", 10).value == 1
+        assert client.execute(b"TTL", b"k").value == 10
+
+    def test_execute_on_encodes_ints(self, cluster):
+        client = cluster.client()
+        reply = client.execute_on(2, b"ECHO", 42)
+        assert reply.value == b"42"

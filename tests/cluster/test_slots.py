@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.slots import (
     NUM_SLOTS,
@@ -29,6 +31,42 @@ class TestCrc16:
 
     def test_str_and_bytes_agree(self):
         assert key_slot("counter") == key_slot(b"counter")
+
+    def test_spec_slot_vectors(self):
+        # Redis Cluster's documented examples.
+        assert key_slot(b"foo") == 12182
+        assert key_slot(b"{user1000}.following") == 3443
+        assert key_slot(b"{user1000}.followers") == 3443
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_matches_the_table_driven_oracle(self, data):
+        assert crc16(data) == table_crc16(data)
+
+    def test_oracle_check_value(self):
+        assert table_crc16(b"123456789") == 0x31C3
+
+
+def _build_crc16_table() -> tuple[int, ...]:
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
+        table.append(crc & 0xFFFF)
+    return tuple(table)
+
+
+_CRC16_TABLE = _build_crc16_table()
+
+
+def table_crc16(data: bytes) -> int:
+    """The table-driven CRC16/XMODEM loop of the Redis Cluster spec's
+    reference code: the oracle for the C ``crc16``."""
+    crc = 0
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
+    return crc
 
 
 class TestHashTags:

@@ -81,6 +81,14 @@ def test_commands_metered_under_owning_tenant():
     assert acme.rtt_ns > 0
 
 
+def test_int_arguments_reach_the_shard_as_digits():
+    proxy = make_proxy()
+    assert proxy.execute("SET", "acme:k", 5).value == b"OK"
+    assert proxy.execute(b"GET", b"acme:k").value == b"5"
+    assert proxy.execute(b"EXPIRE", b"acme:k", 10).value == 1
+    assert proxy.execute(b"ECHO", 7).value == b"7"
+
+
 def test_redirects_metered_per_tenant():
     proxy = make_proxy()
     # Poison the embedded client's slot cache so the first send bounces.
