@@ -31,7 +31,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.cluster.cluster import FORK_METHODS  # noqa: E402
+from repro.core.policy import FORK_METHODS  # noqa: E402
 from repro.config import SimulationProfile  # noqa: E402
 from repro.experiments.figx_reshard import _reshard_run  # noqa: E402
 

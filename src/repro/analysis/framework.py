@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.analysis import hooks
+from repro.core.policy import FORK_METHODS
 
 
 class Severity(enum.Enum):
@@ -185,7 +186,7 @@ class LockChecker(Checker):
         dep = LockDep()
         dep.install()
         try:
-            for engine in workloads.ENGINES:
+            for engine in FORK_METHODS:
                 workloads.run_engine(engine, seed=seed)
             workloads.run_migration()
         finally:
@@ -241,7 +242,7 @@ class MmsanChecker(Checker):
 
         result = CheckResult(self.name, self.description)
         audited = 0
-        for engine in workloads.ENGINES:
+        for engine in FORK_METHODS:
             # Catch every address space the workload creates (parent and
             # child share one allocator) so the audit sees both sides.
             created: list = []
@@ -263,7 +264,7 @@ class MmsanChecker(Checker):
                     message=str(violation),
                     location=f"engine:{engine}",
                 ))
-        result.stats["engines"] = list(workloads.ENGINES)
+        result.stats["engines"] = list(FORK_METHODS)
         result.stats["address_spaces_audited"] = audited
         return result
 
@@ -285,7 +286,7 @@ class RaceChecker(Checker):
             *[
                 (f"engine:{name}",
                  lambda name=name: workloads.run_engine(name, seed=seed))
-                for name in workloads.ENGINES
+                for name in FORK_METHODS
             ],
             ("chaos-storm", lambda: workloads.run_chaos(seed=seed)),
             ("page-migration", workloads.run_migration),

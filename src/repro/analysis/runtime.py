@@ -137,7 +137,7 @@ class ForkProbe:
         # The copied-marker state machine only governs async-fork; a
         # finished ODF session legitimately leaves markers for the
         # fault handler to clear lazily.
-        return getattr(self.engine, "name", "") == "async"
+        return self.engine.name == "async"
 
     # -- synchronous engines (default, ODF) ------------------------------
 

@@ -18,29 +18,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.analysis import hooks
+from repro.core.policy import make_fork_engine
 from repro.determinism import seeded_random
 from repro.errors import ForkError
 from repro.kernel.task import Process
 from repro.mem.flags import PteFlags, make_pte, pte_frame
 from repro.mem.frames import FrameAllocator
 from repro.units import MIB, PAGE_SIZE
-
-#: Engine names accepted by :func:`run_engine`.
-ENGINES = ("default", "odf", "async")
-
-
-def _make_engine(name: str):
-    # Local imports: this module is imported by the CLI before any
-    # engine is needed, and the engines import the analysis package.
-    from repro.core.async_fork import AsyncFork
-    from repro.kernel.forks.default import DefaultFork
-    from repro.kernel.forks.odf import OnDemandFork
-
-    try:
-        cls = {"default": DefaultFork, "odf": OnDemandFork, "async": AsyncFork}[name]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
-    return cls()
 
 
 def _seeded_parent(frames: FrameAllocator, size: int):
@@ -63,16 +47,16 @@ def run_engine(engine: str, steps: int = 200, seed: int = 7,
     rng = seeded_random(seed)
     frames = FrameAllocator()
     parent, vma = _seeded_parent(frames, size)
-    res = _make_engine(engine).fork(parent)
+    res = make_fork_engine(engine).fork(parent)
     for step in range(steps):
         addr = vma.start + rng.randrange(0, size, PAGE_SIZE)
         if rng.random() < 0.5:
             parent.mm.write_memory(addr, b"x%d" % step)
         else:
             parent.mm.read_memory(addr, 16)
-        if res.session is not None and hasattr(res.session, "child_step"):
+        if res.session is not None:
             res.session.child_step()
-    if res.session is not None and hasattr(res.session, "run_to_completion"):
+    if res.session is not None:
         res.session.run_to_completion()
     for i in range(0, size, 256 * PAGE_SIZE):
         res.child.mm.read_memory(vma.start + i, 16)

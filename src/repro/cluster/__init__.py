@@ -18,7 +18,7 @@ machine-wide incident.  The pieces:
 """
 
 from repro.cluster.client import ClusterClient, ClusterReply
-from repro.cluster.cluster import SimCluster, make_fork_engine
+from repro.cluster.cluster import SimCluster
 from repro.cluster.coordinator import (
     DirtyPressurePolicy,
     SimultaneousPolicy,
@@ -43,6 +43,5 @@ __all__ = [
     "StaggeredPolicy",
     "crc16",
     "key_slot",
-    "make_fork_engine",
     "make_policy",
 ]

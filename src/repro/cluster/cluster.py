@@ -21,44 +21,14 @@ from typing import Optional
 
 from repro.cluster.shard import ClusterShard, ShardedCommandServer
 from repro.cluster.slots import SlotMap
-from repro.config import AsyncForkConfig
-from repro.core.async_fork import AsyncFork
+from repro.core.policy import make_fork_engine
 from repro.faults.plan import FaultPlan
 from repro.kernel.clock import Clock
 from repro.kernel.costs import DEFAULT_COSTS, CostModel
-from repro.kernel.forks.base import ForkEngine
-from repro.kernel.forks.default import DefaultFork
-from repro.kernel.forks.odf import OnDemandFork
 from repro.kvs.engine import KvEngine
 from repro.kvs.server import SavePoint
 from repro.kvs.supervisor import BackoffPolicy, SnapshotSupervisor
 from repro.mem.frames import FrameAllocator
-
-#: Fork mechanisms the cluster can run (the experiment's sweep axis).
-FORK_METHODS = ("default", "odf", "async")
-
-
-def make_fork_engine(
-    method: str,
-    clock: Clock,
-    costs: CostModel = DEFAULT_COSTS,
-    copy_threads: int = 8,
-) -> ForkEngine:
-    """Build one fork engine by method name on a shared clock."""
-    if method == "default":
-        return DefaultFork(clock=clock, costs=costs)
-    if method == "odf":
-        return OnDemandFork(clock=clock, costs=costs)
-    if method == "async":
-        return AsyncFork(
-            clock=clock,
-            costs=costs,
-            config=AsyncForkConfig(copy_threads=copy_threads),
-        )
-    raise ValueError(
-        f"unknown fork method {method!r}; expected one of {FORK_METHODS}"
-    )
-
 
 class SimCluster:
     """N ``KvEngine`` + ``ShardedCommandServer`` shards, one machine."""

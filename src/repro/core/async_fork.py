@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis import hooks, runtime
+from repro.analysis import hooks
 from repro.config import AsyncForkConfig
-from repro.errors import ForkError, OutOfMemoryError
+from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.faults.plan import SITE_CHILD_COPY, FaultPlan
 from repro.kernel.clock import Clock
 from repro.kernel.kthread import CopyWorker, pool_stats, shard_round_robin
@@ -44,12 +44,11 @@ from repro.kernel.forks.base import (
 )
 from repro.kernel.task import Process, ProcessState, SIGKILL
 from repro.mem import checkpoints as cp
-from repro.mem.address_space import AddressSpace
 from repro.mem.checkpoints import CheckpointEvent
 from repro.mem.cow import clone_pte_table_into
 from repro.mem.directory import require_pte_table
+from repro.mem.hugepage import count_huge_mappings
 from repro.mem.vma import Vma
-from repro.obs import phases as obs_phases
 from repro.obs import tracer as obs
 from repro.units import PTE_TABLE_SPAN
 
@@ -58,6 +57,7 @@ class AsyncFork(ForkEngine):
     """The Async-fork engine."""
 
     name = "async"
+    link_vmas = True
 
     def __init__(
         self,
@@ -80,16 +80,9 @@ class AsyncFork(ForkEngine):
 
     def fork(self, parent: Process) -> ForkResult:
         """Algorithm 1, parent part (lines 1-6)."""
-        # fork() is a syscall: the upper-level copy, the PMD protection
-        # and any consecutive-snapshot sync run on the parent's own
-        # user path.
-        with hooks.context(("user", parent.mm.name)):
-            return self._fork(parent)
+        return self._fork(parent)
 
-    def _fork(self, parent: Process) -> ForkResult:
-        from repro.errors import ConfigurationError
-        from repro.mem.hugepage import count_huge_mappings
-
+    def _prepare(self, parent: Process) -> None:
         if count_huge_mappings(parent.mm):
             # §4.2: the PMD R/W bit doubles as the copied-marker, which
             # is only free while no PMD maps a huge page.  (THP workloads
@@ -98,11 +91,6 @@ class AsyncFork(ForkEngine):
                 "Async-fork cannot fork a process with transparent huge "
                 "pages mapped: the PMD R/W bit is in use (§4.2)"
             )
-
-        stats = ForkStats()
-        probe = runtime.fork_probe(self, parent)
-        start = self.clock.now
-
         # Consecutive snapshots (§5.2): a VMA's page table may be copied by
         # only one child at a time.  If a previous child is still copying a
         # VMA, proactively push the whole VMA to it before re-forking.
@@ -116,65 +104,23 @@ class AsyncFork(ForkEngine):
             # otherwise its copy threads would race the new snapshot.
             previous.drain_closed_vmas()
 
-        with self.clock.kernel_section("fork:async"):
-            child = None
-            marked: list[tuple] = []
-            try:
-                child = self._create_child(parent, link_vmas=True)
-                for vma in parent.mm.vmas:
-                    stats.parent_dir_entries += self._copy_upper_levels(
-                        parent.mm, child.mm, vma
-                    )
-                    stats.pmd_marked += self._write_protect_pmds(
-                        parent.mm, vma, marked
-                    )
-            except OutOfMemoryError as exc:
-                # §4.4 case 1: roll back every PMD entry we protected.
-                for pmd, idx in marked:
-                    pmd.set_write_protected(idx, False)
-                self._unlink_vmas(parent)
-                if child is not None:
-                    child.exit(code=-1)
-                stats.record_error("parent-copy")
-                probe.failed()
-                raise ForkError(
-                    f"Async-fork parent phase failed: {exc}",
-                    phase="parent-copy",
-                ) from exc
-            counts = parent.mm.page_table.level_counts()
-            self.clock.advance(self.costs.async_fork_ns(counts))
-            if obs.ACTIVE:
-                obs_phases.emit_fork_phases(
-                    "async", counts, self.costs, start
-                )
-        stats.parent_call_ns = self.clock.now - start
+    def _pass_slot(self, pmd, idx, base, leaf, child_mm, stats, marked):
+        """Write-protect the PMD entry: "not yet copied" (§4.2)."""
+        self._write_protect(pmd, idx, marked)
+        stats.pmd_marked += 1
 
-        child.state = ProcessState.KERNEL_COPY
-        child.mm.rss = parent.mm.rss
-        session = AsyncForkSession(self, parent, child, stats, self.config)
-        self._sessions[parent.pid] = session
-        probe.async_started(session)
-        return ForkResult(child=child, stats=stats, session=session)
-
-    @staticmethod
-    def _write_protect_pmds(
-        parent_mm: AddressSpace, vma: Vma, marked: list
-    ) -> int:
-        count = 0
-        for pmd, idx, _ in parent_mm.page_table.iter_pmd_slots(
-            vma.start, vma.end
-        ):
-            if pmd.is_present(idx):
-                pmd.set_write_protected(idx, True)
-                marked.append((pmd, idx))
-                count += 1
-        return count
-
-    @staticmethod
-    def _unlink_vmas(parent: Process) -> None:
+    def _undo(self, parent: Process) -> None:
         for vma in parent.mm.vmas:
             if vma.peer is not None:
                 vma.peer.close()
+
+    def _open_session(
+        self, parent: Process, child: Process, stats: ForkStats
+    ) -> "AsyncForkSession":
+        child.state = ProcessState.KERNEL_COPY
+        session = AsyncForkSession(self, parent, child, stats, self.config)
+        self._sessions[parent.pid] = session
+        return session
 
 
 class AsyncForkSession(ForkSession):
@@ -220,6 +166,11 @@ class AsyncForkSession(ForkSession):
     # ------------------------------------------------------------------
     # child side (Algorithm 1, lines 15-24)
     # ------------------------------------------------------------------
+
+    @property
+    def copy_done(self) -> bool:
+        """Whether the child copier has finished (or the session died)."""
+        return not self.active
 
     def child_step(self) -> int:
         """Advance every copy thread by one PMD entry; returns copies made.
@@ -670,8 +621,6 @@ def config_check(config: AsyncForkConfig) -> None:
     free when transparent huge pages are disabled — exactly the deployment
     recommendation of Redis/KeyDB/MongoDB/Couchbase the paper cites.
     """
-    from repro.errors import ConfigurationError
-
     if config.enabled and config.huge_pages:
         raise ConfigurationError(
             "Async-fork requires transparent huge pages to be disabled: "

@@ -1,10 +1,12 @@
-"""Memory-cgroup style fork selection (§5.2 "Flexibility").
+"""Fork-engine selection: by method name, or per memory cgroup (§5.2).
 
-The paper exposes Async-fork through a *memory cgroup* parameter ``F``:
-``F = 0`` keeps the default fork, any positive value enables Async-fork
-with that many child copy threads — no application change required.  This
-module models that interface so the engine selection is data-driven, just
-like in the deployed system.
+:func:`make_fork_engine` is the one name -> engine factory (the
+experiments' sweep axis, ``repro-serve --engine``, the analysis
+workloads).  The paper exposes Async-fork through a *memory cgroup*
+parameter ``F``: ``F = 0`` keeps the default fork, any positive value
+enables Async-fork with that many child copy threads — no application
+change required.  :class:`ForkPolicy` models that interface so the
+engine selection is data-driven, just like in the deployed system.
 """
 
 from __future__ import annotations
@@ -13,12 +15,39 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import AsyncForkConfig
+from repro.core.async_fork import AsyncFork
 from repro.errors import ConfigurationError
 from repro.kernel.clock import Clock
 from repro.kernel.costs import DEFAULT_COSTS, CostModel
 from repro.kernel.forks.base import ForkEngine
 from repro.kernel.forks.default import DefaultFork
+from repro.kernel.forks.odf import OnDemandFork
 from repro.kernel.task import Process
+
+#: Fork mechanisms selectable by name.
+FORK_METHODS = ("default", "odf", "async")
+
+
+def make_fork_engine(
+    method: str,
+    clock: Optional[Clock] = None,
+    costs: CostModel = DEFAULT_COSTS,
+    copy_threads: int = AsyncForkConfig.copy_threads,
+) -> ForkEngine:
+    """Build one fork engine by method name (``clock=None``: its own)."""
+    if method == "default":
+        return DefaultFork(clock=clock, costs=costs)
+    if method == "odf":
+        return OnDemandFork(clock=clock, costs=costs)
+    if method == "async":
+        return AsyncFork(
+            clock=clock,
+            costs=costs,
+            config=AsyncForkConfig(copy_threads=copy_threads),
+        )
+    raise ValueError(
+        f"unknown fork method {method!r}; expected one of {FORK_METHODS}"
+    )
 
 
 @dataclass
@@ -98,8 +127,6 @@ class ForkPolicy:
             return self._default_engine
         engine = self._async_engines.get(name)
         if engine is None:
-            from repro.core.async_fork import AsyncFork
-
             engine = AsyncFork(self.clock, self.costs, cgroup.to_config())
             self._async_engines[name] = engine
         return engine

@@ -31,7 +31,7 @@ def run(profile: SimulationProfile) -> ExperimentReport:
     share: dict[int, float] = {}
     for size in profile.sizes_gb:
         counts = CompactInstance(size).level_counts()
-        total = costs.default_fork_ns(counts)
+        total = costs.fork_call_ns("default", counts)
         copy = costs.page_table_copy_ns(counts)
         fork_ms[size] = total / 1e6
         share[size] = copy / total * 100.0

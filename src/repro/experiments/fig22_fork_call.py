@@ -13,11 +13,9 @@ checks the simulated-clock durations ordering.
 from __future__ import annotations
 
 from repro.config import SimulationProfile
-from repro.core.async_fork import AsyncFork
+from repro.core.policy import make_fork_engine
 from repro.experiments.registry import register
 from repro.kernel.costs import DEFAULT_COSTS
-from repro.kernel.forks.default import DefaultFork
-from repro.kernel.forks.odf import OnDemandFork
 from repro.kernel.task import Process
 from repro.mem.frames import FrameAllocator
 from repro.metrics.report import Comparison, ExperimentReport, Table
@@ -39,9 +37,9 @@ def run(profile: SimulationProfile) -> ExperimentReport:
     values = {}
     for size in profile.sizes_gb:
         counts = CompactInstance(size).level_counts()
-        asy = costs.async_fork_ns(counts) / 1e6
-        odf = costs.odf_fork_ns(counts) / 1e6
-        dflt = costs.default_fork_ns(counts) / 1e6
+        asy = costs.fork_call_ns("async", counts) / 1e6
+        odf = costs.fork_call_ns("odf", counts) / 1e6
+        dflt = costs.fork_call_ns("default", counts) / 1e6
         values[size] = (asy, odf, dflt)
         table.add_row(size, asy, odf, dflt)
     report.add_table(table)
@@ -65,23 +63,17 @@ def run(profile: SimulationProfile) -> ExperimentReport:
 
     # Functional cross-check on a 32 MiB instance: same ordering.
     durations = {}
-    for name, engine_cls in (
-        ("async", AsyncFork),
-        ("odf", OnDemandFork),
-        ("default", DefaultFork),
-    ):
+    for name in ("async", "odf", "default"):
         frames = FrameAllocator()
         parent = Process(frames, name="fig22")
         vma = parent.mm.mmap(32 * MIB)
         step = 4096
         for offset in range(0, 32 * MIB, step):
             parent.mm.write_memory(vma.start + offset, b"x")
-        engine = engine_cls()
-        result = engine.fork(parent)
+        result = make_fork_engine(name).fork(parent)
         durations[name] = result.stats.parent_call_ns
-        session = result.session
-        if session is not None and hasattr(session, "run_to_completion"):
-            session.run_to_completion()
+        if result.session is not None:
+            result.session.run_to_completion()
     func = Table(
         "functional engines, 32MiB instance (simulated clock)",
         ["engine", "parent call (us)"],

@@ -20,9 +20,10 @@ scheduling policy:
 
 from __future__ import annotations
 
-from repro.cluster.cluster import FORK_METHODS, SimCluster
+from repro.cluster.cluster import SimCluster
 from repro.cluster.coordinator import SnapshotCoordinator, make_policy
 from repro.config import SimulationProfile
+from repro.core.policy import FORK_METHODS
 from repro.experiments.parallel import parallel_map
 from repro.experiments.registry import register
 from repro.metrics.latency import merge

@@ -26,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-from repro.cluster.cluster import FORK_METHODS, make_fork_engine
+from repro.core.policy import FORK_METHODS, make_fork_engine
 from repro.config import EngineConfig, SimulationProfile
 from repro.errors import MasterDownError
 from repro.experiments.registry import register

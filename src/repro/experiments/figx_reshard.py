@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-from repro.cluster.cluster import FORK_METHODS, SimCluster
+from repro.cluster.cluster import SimCluster
 from repro.cluster.slots import NUM_SLOTS
 from repro.config import SimulationProfile
+from repro.core.policy import FORK_METHODS
 from repro.experiments.parallel import parallel_map
 from repro.experiments.registry import register
 from repro.metrics.latency import percentile

@@ -48,14 +48,14 @@ def run(profile: SimulationProfile) -> ExperimentReport:
     shrink = {}
     for size in (8, 64):
         counts = CompactInstance(size).level_counts()
-        regular = costs.default_fork_ns(counts)
+        regular = costs.fork_call_ns("default", counts)
         thp_counts = {
             "pgd": counts["pgd"],
             "pud": counts["pud"],
             "pmd": counts["pmd"],  # one entry per 2MiB, now huge
             "pte": 0,
         }
-        thp = costs.default_fork_ns(thp_counts)
+        thp = costs.fork_call_ns("default", thp_counts)
         shrink[size] = regular / thp
         table.add_row(size, regular / 1e6, thp / 1e6, f"{shrink[size]:.0f}x")
     report.add_table(table)

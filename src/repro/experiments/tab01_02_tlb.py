@@ -124,14 +124,12 @@ def run_wss_distortion() -> dict:
         parent.mm.clear_accessed_bits()
         result = engine_cls().fork(parent)
         session = result.session
-        if session is not None and hasattr(session, "run_to_completion"):
-            session.run_to_completion()
+        session.run_to_completion()
         # The idle parent touches nothing; the child reads everything.
         for offset in range(0, 64 * 4096, 4096):
             result.child.mm.read_memory(vma.start + offset, 1)
         distortion[name] = parent.mm.estimate_wss()
-        if hasattr(session, "finish"):
-            session.finish()
+        session.cancel()
     return distortion
 
 

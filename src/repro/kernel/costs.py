@@ -66,42 +66,38 @@ class CostModel:
             + ENTRIES_PER_TABLE * self.pte_entry_copy_ns
         )
 
-    def default_fork_ns(self, counts: dict[str, int]) -> int:
-        """Parent-side duration of the default fork.
+    def fork_call_terms(
+        self, method: str, counts: dict[str, int]
+    ) -> list[tuple[str, int, dict]]:
+        """The parent's fork call as consecutive ``(phase, ns, attrs)`` terms.
 
-        ``counts`` maps level name -> present entries, as produced by
-        :meth:`repro.mem.page_table.PageTable.level_counts`.
+        ``method`` is ``'default'``, ``'odf'``, ``'async'`` or ``'none'``
+        (no fork: no terms).  ``counts`` maps level name -> present
+        entries, as produced by
+        :meth:`repro.mem.page_table.PageTable.level_counts`.  Each method
+        pays the fixed overhead, then one per-entry constant per level
+        it touches inside the call (Figures 3 and 22).
         """
-        return (
-            self.fork_fixed_ns
-            + (counts["pgd"] + counts["pud"] + counts["pmd"])
-            * self.dir_entry_copy_ns
-            + counts["pte"] * self.pte_entry_copy_ns
-        )
+        if method == "none":
+            return []
+        terms = [("fork.fixed", self.fork_fixed_ns, {"method": method})]
+        for level, field, mode in _FORK_CALL_LEVELS[method]:
+            attrs = {"level": level, "entries": counts[level]}
+            if mode is not None:
+                attrs["mode"] = mode
+            terms.append(
+                (f"fork.{level}_copy", counts[level] * getattr(self, field),
+                 attrs)
+            )
+        return terms
+
+    def fork_call_ns(self, method: str, counts: dict[str, int]) -> int:
+        """Parent-side duration of one ``method`` fork call."""
+        return sum(ns for _, ns, _ in self.fork_call_terms(method, counts))
 
     def page_table_copy_ns(self, counts: dict[str, int]) -> int:
         """The page-table-copy share of the default fork (Fig. 3)."""
-        return (
-            (counts["pgd"] + counts["pud"] + counts["pmd"])
-            * self.dir_entry_copy_ns
-            + counts["pte"] * self.pte_entry_copy_ns
-        )
-
-    def odf_fork_ns(self, counts: dict[str, int]) -> int:
-        """Parent-side duration of an ODF fork call (Fig. 22)."""
-        return (
-            self.fork_fixed_ns
-            + (counts["pgd"] + counts["pud"]) * self.dir_entry_copy_ns
-            + counts["pmd"] * self.odf_share_pmd_ns
-        )
-
-    def async_fork_ns(self, counts: dict[str, int]) -> int:
-        """Parent-side duration of an Async-fork call (Fig. 22)."""
-        return (
-            self.fork_fixed_ns
-            + (counts["pgd"] + counts["pud"]) * self.dir_entry_copy_ns
-            + counts["pmd"] * self.pmd_wp_set_ns
-        )
+        return self.fork_call_ns("default", counts) - self.fork_fixed_ns
 
     def table_fault_ns(self) -> int:
         """One parent interruption: ODF table CoW or proactive sync."""
@@ -132,5 +128,28 @@ class CostModel:
         """A copy of the model with some constants replaced."""
         return replace(self, **changes)
 
+
+#: Per fork method: ``(level, per-entry cost field, mode)`` for every
+#: page-table level the parent handles inside the call.  The default
+#: fork copies all four levels; ODF shares and Async-fork write-protects
+#: the PMD entries instead of copying the PTE tables below them.
+_FORK_CALL_LEVELS = {
+    "default": (
+        ("pgd", "dir_entry_copy_ns", None),
+        ("pud", "dir_entry_copy_ns", None),
+        ("pmd", "dir_entry_copy_ns", None),
+        ("pte", "pte_entry_copy_ns", None),
+    ),
+    "odf": (
+        ("pgd", "dir_entry_copy_ns", None),
+        ("pud", "dir_entry_copy_ns", None),
+        ("pmd", "odf_share_pmd_ns", "share"),
+    ),
+    "async": (
+        ("pgd", "dir_entry_copy_ns", None),
+        ("pud", "dir_entry_copy_ns", None),
+        ("pmd", "pmd_wp_set_ns", "write-protect"),
+    ),
+}
 
 DEFAULT_COSTS = CostModel()

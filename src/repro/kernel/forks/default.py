@@ -7,15 +7,10 @@ copy is ≥97 % of the call), so every query arriving meanwhile waits.
 
 from __future__ import annotations
 
-from repro.analysis import hooks, runtime
-from repro.errors import OutOfMemoryError, ForkError
 from repro.kernel.forks.base import ForkEngine, ForkResult, ForkStats
-from repro.obs import phases as obs_phases
-from repro.obs import tracer as obs
 from repro.kernel.task import Process
 from repro.mem.cow import clone_pte_table_into
 from repro.mem.directory import require_pte_table
-from repro.mem.hugepage import HugePage
 
 
 class DefaultFork(ForkEngine):
@@ -25,79 +20,26 @@ class DefaultFork(ForkEngine):
 
     def fork(self, parent: Process) -> ForkResult:
         """Clone the whole page table inside the parent's call."""
-        # fork() is a syscall: the copy is the parent's own user path.
-        with hooks.context(("user", parent.mm.name)):
-            return self._fork(parent)
+        return self._fork(parent)
 
-    def _fork(self, parent: Process) -> ForkResult:
-        stats = ForkStats()
-        probe = runtime.fork_probe(self, parent)
-        start = self.clock.now
-        with self.clock.kernel_section("fork:default"):
-            child = None
-            try:
-                child = self._create_child(parent, link_vmas=False)
-                self._copy_page_table(parent, child, stats)
-            except OutOfMemoryError as exc:
-                if child is not None:
-                    child.exit(code=-1)
-                probe.failed()
-                raise ForkError(
-                    f"default fork failed: {exc}", phase="parent-copy"
-                ) from exc
-            counts = parent.mm.page_table.level_counts()
-            self.clock.advance(self.costs.default_fork_ns(counts))
-            if obs.ACTIVE:
-                obs_phases.emit_fork_phases(
-                    "default", counts, self.costs, start
-                )
+    def _pass_slot(self, pmd, idx, base, leaf, child_mm, stats, marked):
+        """Copy the PTE table into a fresh child table."""
+        leaf = require_pte_table(leaf)
+        child_pmd, child_idx = self._child_slot(child_mm, base)
+        child_leaf = child_mm.page_table.new_pte_table()
+        copied = clone_pte_table_into(leaf, child_leaf, child_mm.frames)
+        child_pmd.set(child_idx, child_leaf)
+        stats.parent_pte_entries += copied
+
+    def _undo(self, parent: Process) -> None:
+        # The tables cloned before the failure write-protected parent
+        # PTEs too; like dup_mmap's exit path, flush on failure as well.
+        parent.mm.tlb.flush_all()
+
+    def _open_session(
+        self, parent: Process, child: Process, stats: ForkStats
+    ) -> None:
         # Write-protecting the parent's PTEs invalidates cached
         # translations; the kernel flushes the TLB before returning.
         parent.mm.tlb.flush_all()
-        if hooks.EDGE_HOOKS:
-            # The copy is complete before the child first runs.
-            hooks.notify_edge("publish", None, ("user", child.mm.name))
-        stats.parent_call_ns = self.clock.now - start
-        result = ForkResult(child=child, stats=stats)
-        probe.completed(result)
-        return result
-
-    def _copy_page_table(
-        self, parent: Process, child: Process, stats: ForkStats
-    ) -> None:
-        parent_mm, child_mm = parent.mm, child.mm
-        for vma in parent_mm.vmas:
-            stats.parent_dir_entries += self._copy_upper_levels(
-                parent_mm, child_mm, vma
-            )
-            for pmd, idx, base in parent_mm.page_table.iter_pmd_slots(
-                vma.start, vma.end
-            ):
-                leaf = pmd.get(idx)
-                if leaf is None:
-                    continue
-                if isinstance(leaf, HugePage):
-                    # THP: one PMD entry shares the whole 2 MiB page;
-                    # both sides CoW at huge granularity (§3.2's
-                    # amplification hazard).
-                    child_found = child_mm.page_table.walk_pmd(
-                        base, create=True
-                    )
-                    assert child_found is not None
-                    child_pmd, child_idx = child_found
-                    child_pmd.set(child_idx, leaf)
-                    leaf.mapcount += 1
-                    pmd.set_write_protected(idx, True)
-                    child_pmd.set_write_protected(child_idx, True)
-                    continue
-                leaf = require_pte_table(leaf)
-                child_found = child_mm.page_table.walk_pmd(base, create=True)
-                assert child_found is not None
-                child_pmd, child_idx = child_found
-                child_leaf = child_mm.page_table.new_pte_table()
-                copied = clone_pte_table_into(
-                    leaf, child_leaf, parent_mm.frames
-                )
-                child_pmd.set(child_idx, child_leaf)
-                stats.parent_pte_entries += copied
-        child_mm.rss = parent_mm.rss
+        return None

@@ -16,8 +16,7 @@ snapshot view stays intact.
 
 from __future__ import annotations
 
-from repro.analysis import hooks, runtime
-from repro.errors import ForkError, OutOfMemoryError
+from repro.errors import ForkError
 from repro.kernel.forks.base import (
     ForkEngine,
     ForkResult,
@@ -31,8 +30,6 @@ from repro.mem.checkpoints import CheckpointEvent
 from repro.mem.cow import clone_pte_table_into
 from repro.mem.directory import require_pte_table
 from repro.mem.hugepage import HugePage
-from repro.obs import phases as obs_phases
-from repro.obs import tracer as obs
 
 
 class OnDemandFork(ForkEngine):
@@ -42,76 +39,22 @@ class OnDemandFork(ForkEngine):
 
     def fork(self, parent: Process) -> ForkResult:
         """Share the PTE leaf tables; return in microseconds."""
-        # fork() is a syscall: the sharing is the parent's own user path.
-        with hooks.context(("user", parent.mm.name)):
-            return self._fork(parent)
+        return self._fork(parent)
 
-    def _fork(self, parent: Process) -> ForkResult:
-        stats = ForkStats()
-        probe = runtime.fork_probe(self, parent)
-        start = self.clock.now
-        with self.clock.kernel_section("fork:odf"):
-            child = None
-            try:
-                child = self._create_child(parent, link_vmas=False)
-                self._share_page_table(parent, child, stats)
-            except OutOfMemoryError as exc:
-                if child is not None:
-                    child.exit(code=-1)
-                probe.failed()
-                raise ForkError(
-                    f"ODF fork failed: {exc}", phase="parent-copy"
-                ) from exc
-            counts = parent.mm.page_table.level_counts()
-            self.clock.advance(self.costs.odf_fork_ns(counts))
-            if obs.ACTIVE:
-                obs_phases.emit_fork_phases("odf", counts, self.costs, start)
-        if hooks.EDGE_HOOKS:
-            # The share (PMD writes, share counts) is complete before
-            # the child first runs.
-            hooks.notify_edge("publish", None, ("user", child.mm.name))
-        stats.parent_call_ns = self.clock.now - start
-        session = OdfSession(self, parent, child, stats)
-        result = ForkResult(child=child, stats=stats, session=session)
-        probe.completed(result)
-        return result
+    def _pass_slot(self, pmd, idx, base, leaf, child_mm, stats, marked):
+        """Share the PTE table; both processes fault on writes under it."""
+        leaf = require_pte_table(leaf)
+        child_pmd, child_idx = self._child_slot(child_mm, base)
+        child_pmd.set(child_idx, leaf)  # the share
+        leaf.page.share_count += 1
+        self._write_protect(pmd, idx, marked)
+        child_pmd.set_write_protected(child_idx, True)
+        stats.pmd_marked += 1
 
-    def _share_page_table(
+    def _open_session(
         self, parent: Process, child: Process, stats: ForkStats
-    ) -> None:
-        parent_mm, child_mm = parent.mm, child.mm
-        for vma in parent_mm.vmas:
-            stats.parent_dir_entries += self._copy_upper_levels(
-                parent_mm, child_mm, vma
-            )
-            for pmd, idx, base in parent_mm.page_table.iter_pmd_slots(
-                vma.start, vma.end
-            ):
-                leaf = pmd.get(idx)
-                if leaf is None:
-                    continue
-                if isinstance(leaf, HugePage):
-                    hp_found = child_mm.page_table.walk_pmd(
-                        base, create=True
-                    )
-                    assert hp_found is not None
-                    hp_pmd, hp_idx = hp_found
-                    hp_pmd.set(hp_idx, leaf)
-                    leaf.mapcount += 1
-                    pmd.set_write_protected(idx, True)
-                    hp_pmd.set_write_protected(hp_idx, True)
-                    continue
-                leaf = require_pte_table(leaf)
-                child_found = child_mm.page_table.walk_pmd(base, create=True)
-                assert child_found is not None
-                child_pmd, child_idx = child_found
-                child_pmd.set(child_idx, leaf)  # the share
-                leaf.page.share_count += 1
-                # Both processes must fault on writes under this PMD.
-                pmd.set_write_protected(idx, True)
-                child_pmd.set_write_protected(child_idx, True)
-                stats.pmd_marked += 1
-        child_mm.rss = parent_mm.rss
+    ) -> "OdfSession":
+        return OdfSession(self, parent, child, stats)
 
 
 class OdfSession(ForkSession):

@@ -20,7 +20,7 @@ payload and digest are the same either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
@@ -101,9 +101,7 @@ class ForkJob:
     def step_child(self) -> int:
         """Advance the child's page-table copy one step (Async-fork)."""
         session = self.result.session
-        if session is not None and hasattr(session, "child_step"):
-            return session.child_step()
-        return 0
+        return 0 if session is None else session.child_step()
 
     @property
     def child_copy_done(self) -> bool:
@@ -114,14 +112,12 @@ class ForkJob:
         away; only Async-fork has an in-flight copy to wait out.
         """
         session = self.result.session
-        if session is None or not hasattr(session, "child_step"):
-            return True
-        return session.done
+        return session is None or session.copy_done
 
     def _drain_child(self) -> None:
         """Run the copy to completion; raise if the session died."""
         session = self.result.session
-        if session is not None and hasattr(session, "run_to_completion"):
+        if session is not None:
             session.run_to_completion()
             if session.failed:
                 reason = session.failure_reason
@@ -411,8 +407,7 @@ class KvEngine:
         frame allocation, the fork engine's child copier, the disk, and
         the AOF fsync path."""
         self.frames.attach_fault_plan(plan)
-        if hasattr(self.fork_engine, "attach_fault_plan"):
-            self.fork_engine.attach_fault_plan(plan)
+        self.fork_engine.attach_fault_plan(plan)
         self.disk.fault_plan = plan
         if self.aof is not None:
             self.aof.fault_plan = plan

@@ -70,15 +70,19 @@ def _format_double(value: float) -> bytes:
     return repr(value).encode()
 
 
+#: Simple strings and errors are line-framed: a CR or LF in one (an
+#: unknown command name echoed back, say) would desynchronize the
+#: stream, so both are sanitized to spaces, as Redis does.
+_LINE_SAFE = bytes.maketrans(b"\r\n", b"  ")
+_LINE_SAFE_TEXT = str.maketrans("\r\n", "  ")
+
+
 def encode(value, proto: int = 2) -> bytes:
     """Serialize one value for a proto-2 or proto-3 connection."""
     if isinstance(value, SimpleString):
-        return b"+" + bytes(value) + CRLF
+        return b"+" + value.translate(_LINE_SAFE) + CRLF
     if isinstance(value, RespError):
-        # Simple errors are line-framed: a message carrying CR/LF (an
-        # unknown command name echoed back, say) would desynchronize
-        # the stream, so sanitize them to spaces as Redis does.
-        message = value.message.replace("\r", " ").replace("\n", " ")
+        message = value.message.translate(_LINE_SAFE_TEXT)
         return b"-" + message.encode() + CRLF
     if isinstance(value, bool):
         if proto >= 3:
@@ -160,21 +164,22 @@ def reply_value(value) -> RespValue:
     """The value a RESP peer parses from ``encode(value)`` at proto 2.
 
     What an in-process caller of a server gets instead of the reply
-    bytes.  Plain ``bytes``, ``int`` and ``None`` (and simple strings
-    without a line break) come back as they are, an error comes back
-    rebuilt with its message sanitized; anything else really goes
-    through :func:`encode` and a :class:`Parser`, so a value the wire
-    cannot carry raises the same ``TypeError`` here.
+    bytes.  Plain ``bytes``, ``int`` and ``None`` come back as they
+    are, a simple string with its CR/LF sanitized (itself when it has
+    none), an error rebuilt with its message sanitized; anything else
+    really goes through :func:`encode` and a :class:`Parser`, so a
+    value the wire cannot carry raises the same ``TypeError`` here.
     """
     kind = type(value)
     if kind is bytes or kind is int or value is None:
         return value
-    if kind is SimpleString and b"\r\n" not in value:
-        return value
+    if kind is SimpleString:
+        line = value.translate(_LINE_SAFE)
+        return value if line == value else SimpleString(line)
     if kind is RespError:
-        message = value.message.replace("\r", " ").replace("\n", " ")
         # The UTF-8 round trip raises on text the wire cannot carry
         # (lone surrogates), as encode() does.
+        message = value.message.translate(_LINE_SAFE_TEXT)
         return RespError(message.encode().decode())
     parser = Parser()
     parser.feed(encode(value))

@@ -228,10 +228,10 @@ class SnapshotSupervisor:
         if session is None:
             return
         steps = 0
-        while session.active and not session.failed:
+        while not session.copy_done and not session.failed:
             job.step_child()
             steps += 1
-            if self.on_child_step is not None and not session.done:
+            if self.on_child_step is not None and not session.copy_done:
                 self.on_child_step(steps)
             if steps > self.watchdog_steps:
                 self.counters.watchdog_kills += 1

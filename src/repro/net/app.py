@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.config import EngineConfig
-from repro.core.async_fork import AsyncFork
+from repro.core.policy import FORK_METHODS, make_fork_engine
 from repro.kernel.costs import DEFAULT_COSTS, CostModel
-from repro.kernel.forks.default import DefaultFork
-from repro.kernel.forks.odf import OnDemandFork
 from repro.kvs.engine import KvEngine
 from repro.kvs.resp import Parser, ProtocolError, RespError, encode
 from repro.kvs.server import CommandServer, SavePoint
@@ -36,13 +34,6 @@ from repro.net.core import NetSession, SessionClosed, ShutdownRequested
 from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGES_PER_GIB
-
-#: ``--engine`` name -> fork-engine factory.
-FORK_ENGINES: dict[str, Callable] = {
-    "default": DefaultFork,
-    "odf": OnDemandFork,
-    "async": AsyncFork,
-}
 
 READ_CHUNK = 64 * 1024
 
@@ -116,8 +107,8 @@ class ServerConfig:
     max_runtime_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.engine not in FORK_ENGINES:
-            valid = ", ".join(sorted(FORK_ENGINES))
+        if self.engine not in FORK_METHODS:
+            valid = ", ".join(sorted(FORK_METHODS))
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of: {valid}"
             )
@@ -146,7 +137,7 @@ def build_backend(config: ServerConfig) -> CommandServer:
     if config.proxy:
         return _build_proxy_backend(config)
     engine = KvEngine(
-        fork_engine=FORK_ENGINES[config.engine](),
+        fork_engine=make_fork_engine(config.engine),
         config=EngineConfig(
             value_size=config.value_size, aof_enabled=config.aof
         ),

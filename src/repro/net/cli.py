@@ -22,8 +22,9 @@ import argparse
 import signal
 import sys
 
+from repro.core.policy import FORK_METHODS
 from repro.kvs.server import DEFAULT_SAVE_POINTS
-from repro.net.app import FORK_ENGINES, ServerConfig, serve
+from repro.net.app import ServerConfig, serve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         "RESP socket (redis-cli / redis-benchmark compatible).",
     )
     parser.add_argument(
-        "--engine", choices=sorted(FORK_ENGINES), default="async",
+        "--engine", choices=sorted(FORK_METHODS), default="async",
         help="fork engine behind BGSAVE (default: async)",
     )
     parser.add_argument("--host", default="127.0.0.1")

@@ -7,11 +7,6 @@ phase spans (pgd/pud/pmd/pte copy) from the same
 :class:`~repro.kernel.costs.CostModel` terms the engines charge, (b)
 classifies any trace's spans into phases, and (c) renders the
 phase-breakdown report the ``repro-trace`` CLI prints.
-
-It also derives the Figure 11 interruption recorder from a trace
-(:func:`interrupts_from_trace`), which is how
-:mod:`repro.sim.snapshot_sim` now produces its histogram: the bespoke
-observer became a query over the kernel-category spans.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.tracer import (
-    CAT_KERNEL,
     CAT_PHASE,
     SpanRecord,
     Tracer,
@@ -77,62 +71,15 @@ def fork_phase_segments(
 ) -> list[tuple[str, int, int, dict]]:
     """Sequential phase spans of one fork call starting at ``start_ns``.
 
-    Mirrors the cost model exactly: the segments' total equals
-    ``costs.<method>_fork_ns(counts)``, so the phase spans tile the
-    fork's kernel section.
+    Lays :meth:`~repro.kernel.costs.CostModel.fork_call_terms` end to
+    end, so the segments' total is ``costs.fork_call_ns(method, counts)``
+    and the phase spans tile the fork's kernel section.
     """
     segments: list[tuple[str, int, int, dict]] = []
     t = int(start_ns)
-
-    def seg(name: str, duration: int, **attrs) -> None:
-        nonlocal t
-        segments.append((name, t, t + int(duration), attrs))
-        t += int(duration)
-
-    seg("fork.fixed", costs.fork_fixed_ns, method=method)
-    seg(
-        "fork.pgd_copy",
-        counts["pgd"] * costs.dir_entry_copy_ns,
-        level="pgd",
-        entries=counts["pgd"],
-    )
-    seg(
-        "fork.pud_copy",
-        counts["pud"] * costs.dir_entry_copy_ns,
-        level="pud",
-        entries=counts["pud"],
-    )
-    if method == "default":
-        seg(
-            "fork.pmd_copy",
-            counts["pmd"] * costs.dir_entry_copy_ns,
-            level="pmd",
-            entries=counts["pmd"],
-        )
-        seg(
-            "fork.pte_copy",
-            counts["pte"] * costs.pte_entry_copy_ns,
-            level="pte",
-            entries=counts["pte"],
-        )
-    elif method == "odf":
-        # ODF shares the leaves: the PMD pass installs share counts.
-        seg(
-            "fork.pmd_copy",
-            counts["pmd"] * costs.odf_share_pmd_ns,
-            level="pmd",
-            entries=counts["pmd"],
-            mode="share",
-        )
-    elif method == "async":
-        # Async-fork only write-protects the PMD entries in the call.
-        seg(
-            "fork.pmd_copy",
-            counts["pmd"] * costs.pmd_wp_set_ns,
-            level="pmd",
-            entries=counts["pmd"],
-            mode="write-protect",
-        )
+    for name, ns, attrs in costs.fork_call_terms(method, counts):
+        segments.append((name, t, t + ns, attrs))
+        t += ns
     return segments
 
 
@@ -268,21 +215,3 @@ def breakdown(tracer: Tracer) -> PhaseBreakdown:
             result.by_phase_count.get(phase, 0) + 1
         )
     return result
-
-
-def interrupts_from_trace(tracer: Tracer):
-    """Figure 11's recorder, derived from the kernel-category spans.
-
-    Insertion order is preserved, so a recorder built this way is
-    indistinguishable from one fed by the old bespoke observer.
-    Aborted sections are *included* (with their ``!aborted`` reason) —
-    the recorder's histogram excludes them, but the Figure 20
-    out-of-service total still counts the time they consumed.
-    """
-    from repro.sim.interrupts import InterruptRecorder
-
-    recorder = InterruptRecorder()
-    for record in tracer.records:
-        if record.cat == CAT_KERNEL:
-            recorder.record(record.name, record.duration_ns)
-    return recorder

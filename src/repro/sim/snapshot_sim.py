@@ -198,14 +198,7 @@ def simulate_snapshot(config: SnapshotSimConfig) -> SnapshotSimResult:
 
     # Fork-call cost per method.
     counts = instance.level_counts()
-    if config.method == "default":
-        fork_ns = costs.default_fork_ns(counts)
-    elif config.method == "odf":
-        fork_ns = costs.odf_fork_ns(counts)
-    elif config.method == "async":
-        fork_ns = costs.async_fork_ns(counts)
-    else:
-        fork_ns = 0
+    fork_ns = costs.fork_call_ns(config.method, counts)
     child_copy_ns = (
         costs.child_copy_ns(counts, config.copy_threads)
         if config.method == "async"

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import hooks, race, workloads
 from repro.analysis.race import RaceDetector, VectorClock
+from repro.core.policy import FORK_METHODS
 from repro.errors import AnalysisError, DataRaceError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -268,7 +269,7 @@ class TestSyncEdges:
 
 
 class TestCleanWorkloads:
-    @pytest.mark.parametrize("engine", workloads.ENGINES)
+    @pytest.mark.parametrize("engine", FORK_METHODS)
     def test_engine_is_race_free(self, engine):
         hooks.clear()
         with race.detecting() as detector:

@@ -13,20 +13,20 @@ def counts(size_gb: int) -> dict:
 
 class TestFig3Anchors:
     def test_1gib_fork_under_10ms(self):
-        assert DEFAULT_COSTS.default_fork_ns(counts(1)) < 10 * MSEC
+        assert DEFAULT_COSTS.fork_call_ns("default", counts(1)) < 10 * MSEC
 
     def test_64gib_fork_over_500ms(self):
-        assert DEFAULT_COSTS.default_fork_ns(counts(64)) > 500 * MSEC
+        assert DEFAULT_COSTS.fork_call_ns("default", counts(64)) > 500 * MSEC
 
     def test_copy_share_dominates(self):
         for size in (1, 8, 64):
-            total = DEFAULT_COSTS.default_fork_ns(counts(size))
+            total = DEFAULT_COSTS.fork_call_ns("default", counts(size))
             copy = DEFAULT_COSTS.page_table_copy_ns(counts(size))
             assert copy / total > 0.97
 
     def test_roughly_linear_scaling(self):
-        t8 = DEFAULT_COSTS.default_fork_ns(counts(8))
-        t64 = DEFAULT_COSTS.default_fork_ns(counts(64))
+        t8 = DEFAULT_COSTS.fork_call_ns("default", counts(8))
+        t64 = DEFAULT_COSTS.fork_call_ns("default", counts(64))
         assert 6 < t64 / t8 < 10
 
 
@@ -45,17 +45,48 @@ class TestSection31Anchors:
 
 class TestFig22Anchors:
     def test_async_call_64gib_near_0_61ms(self):
-        ns = DEFAULT_COSTS.async_fork_ns(counts(64))
+        ns = DEFAULT_COSTS.fork_call_ns("async", counts(64))
         assert 0.45 * MSEC < ns < 0.85 * MSEC
 
     def test_odf_call_64gib_near_1_1ms(self):
-        ns = DEFAULT_COSTS.odf_fork_ns(counts(64))
+        ns = DEFAULT_COSTS.fork_call_ns("odf", counts(64))
         assert 0.9 * MSEC < ns < 1.3 * MSEC
 
     def test_async_call_faster_than_odf_everywhere(self):
         for size in (1, 2, 4, 8, 16, 32, 64):
             c = counts(size)
-            assert DEFAULT_COSTS.async_fork_ns(c) < DEFAULT_COSTS.odf_fork_ns(c)
+            assert DEFAULT_COSTS.fork_call_ns(
+                "async", c
+            ) < DEFAULT_COSTS.fork_call_ns("odf", c)
+
+
+class TestForkCallTerms:
+    """The one per-method cost table, against the closed forms."""
+
+    def test_terms_sum_to_the_closed_forms(self):
+        c, k = counts(8), DEFAULT_COSTS
+        dirs = (c["pgd"] + c["pud"]) * k.dir_entry_copy_ns
+        assert k.fork_call_ns("default", c) == (
+            k.fork_fixed_ns + dirs + c["pmd"] * k.dir_entry_copy_ns
+            + c["pte"] * k.pte_entry_copy_ns
+        )
+        assert k.fork_call_ns("odf", c) == (
+            k.fork_fixed_ns + dirs + c["pmd"] * k.odf_share_pmd_ns
+        )
+        assert k.fork_call_ns("async", c) == (
+            k.fork_fixed_ns + dirs + c["pmd"] * k.pmd_wp_set_ns
+        )
+
+    def test_no_fork_costs_nothing(self):
+        assert DEFAULT_COSTS.fork_call_ns("none", counts(8)) == 0
+        assert DEFAULT_COSTS.fork_call_terms("none", counts(8)) == []
+
+    def test_terms_follow_the_model_fields(self):
+        scaled = DEFAULT_COSTS.scaled(pmd_wp_set_ns=36)
+        c = counts(1)
+        assert scaled.fork_call_ns("async", c) - DEFAULT_COSTS.fork_call_ns(
+            "async", c
+        ) == 18 * c["pmd"]
 
 
 class TestFig11Anchors:

@@ -9,10 +9,11 @@ same exception for a value the wire cannot carry — and
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kvs.resp import (
+    INCOMPLETE,
     Parser,
     Push,
     RespError,
@@ -26,10 +27,12 @@ from repro.kvs.resp import (
 
 
 def parsed(value):
-    """The reference: encode at proto 2, parse the first value back."""
+    """The reference: encode at proto 2, parse the one frame back."""
     parser = Parser()
     parser.feed(encode(value))
-    return parser.parse_one()
+    first = parser.parse_one()
+    assert parser.parse_one() is INCOMPLETE, "encoded to more than a frame"
+    return first
 
 
 def shape(value):
@@ -94,6 +97,7 @@ class TestReplyValue:
 
     @settings(max_examples=200, deadline=None)
     @given(v=line_bytes.map(SimpleString) | line_text.map(RespError))
+    @example(v=SimpleString(b"a\r\nb"))
     def test_line_framed_values(self, v):
         assert outcome(reply_value, v) == outcome(parsed, v)
 
@@ -116,6 +120,12 @@ class TestReplyValue:
         assert err.message == "ERR unknown command 'a  b'"
         assert shape(err) == shape(parsed(RespError("ERR unknown command "
                                                     "'a\r\nb'")))
+
+    def test_simple_string_line_break_is_sanitized(self):
+        v = SimpleString(b"a\r\nb\rc\n")
+        assert encode(v) == b"+a  b c \r\n"
+        assert shape(reply_value(v)) == shape(parsed(v))
+        assert shape(reply_value(v)) == (SimpleString, b"a  b c ")
 
     def test_proto2_degradations(self):
         assert reply_value(True) == 1 and type(reply_value(True)) is int

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.core.async_fork import AsyncFork
+from repro.core.policy import FORK_METHODS, make_fork_engine
 from repro.errors import WritesRefusedError
 from repro.faults import (
     SITE_AOF_FSYNC,
@@ -85,6 +86,36 @@ class TestRetry:
         # dies on "rewrite already in progress".
         assert log is not None and not log.rewriting
         assert supervisor.counters.job_failures == {"parent-copy": 1}
+
+
+class TestEveryForkMethod:
+    """A clean supervised job completes under every engine.
+
+    The watchdog waits for the child's copy, not for the session to
+    retire: an ODF session stays active until the job does.
+    """
+
+    @pytest.mark.parametrize("kind", ["save", "rewrite"])
+    @pytest.mark.parametrize("method", FORK_METHODS)
+    def test_supervised_job_completes(self, method, kind):
+        engine = KvEngine(
+            make_fork_engine(method),
+            config=EngineConfig(aof_enabled=True, value_size=64),
+            name="sup",
+        )
+        for i in range(200):
+            engine.set(f"k{i}", bytes([i % 251]) * 64)
+        supervisor = SnapshotSupervisor(engine)
+
+        outcome = getattr(supervisor, kind)()
+
+        assert outcome is not None
+        if kind == "save":
+            assert outcome.file.entry_count == 200
+        assert supervisor.counters.watchdog_kills == 0
+        assert supervisor.counters.job_failures == {}
+        assert not engine.writes_refused
+        assert engine._active_job is None
 
 
 class TestWatchdog:

@@ -11,13 +11,12 @@ note).
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
+from repro.core.policy import FORK_METHODS
 from repro.kvs.resp import RespError, SimpleString
 from repro.net.app import (
-    FORK_ENGINES,
     SNAPSHOT_SLICE_BYTES,
     ReproServer,
     ServerConfig,
@@ -57,7 +56,7 @@ def serve_and_run(server: ReproServer, scenario) -> object:
 
 
 class TestCommands:
-    @pytest.mark.parametrize("engine", sorted(FORK_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(FORK_METHODS))
     def test_ping_set_get_del_bgsave(self, engine):
         server = make_server(engine)
 
@@ -260,7 +259,7 @@ class TestCostEmulation:
         )
         assert plain.engine.fork_engine.costs.pte_entry_copy_ns == 33
 
-    @pytest.mark.parametrize("engine", sorted(FORK_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(FORK_METHODS))
     def test_bgsave_is_sliced_into_the_one_shot_file(self, engine):
         config = ServerConfig(engine=engine, port=0, keys=1500,
                               value_size=1024)

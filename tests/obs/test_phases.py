@@ -10,7 +10,6 @@ from repro.obs.phases import (
     breakdown,
     child_copy_segments,
     fork_phase_segments,
-    interrupts_from_trace,
     phase_of,
     trace_fork_phases,
 )
@@ -22,6 +21,7 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
 )
+from repro.sim.interrupts import InterruptRecorder
 
 COUNTS = {"pgd": 1, "pud": 4, "pmd": 64, "pte": 32768}
 
@@ -31,8 +31,7 @@ class TestForkPhaseSegments:
     def test_segments_tile_the_calibrated_fork_cost(self, method):
         segments = fork_phase_segments(method, COUNTS, DEFAULT_COSTS, 100)
         total = sum(e - s for _, s, e, _ in segments)
-        expected = getattr(DEFAULT_COSTS, f"{method}_fork_ns")(COUNTS)
-        assert total == expected
+        assert total == DEFAULT_COSTS.fork_call_ns(method, COUNTS)
 
     @pytest.mark.parametrize("method", ["default", "odf", "async"])
     def test_segments_are_contiguous(self, method):
@@ -153,7 +152,7 @@ class TestInterruptsFromTrace:
         t.add("fork:async", CAT_KERNEL, 0, 100)
         t.add("fork.pgd_copy", CAT_PHASE, 0, 10)  # not kernel: skipped
         t.add("async:proactive-sync", CAT_KERNEL, 200, 217)
-        recorder = interrupts_from_trace(t)
+        recorder = InterruptRecorder.from_trace(t)
         assert recorder.reasons == ["fork:async", "async:proactive-sync"]
         assert recorder.durations_ns == [100, 17]
 
@@ -166,6 +165,6 @@ class TestInterruptsFromTrace:
             20_000,
         )
         t.add("async:proactive-sync", CAT_KERNEL, 30_000, 50_000)
-        recorder = interrupts_from_trace(t)
+        recorder = InterruptRecorder.from_trace(t)
         assert recorder.total_ns() == 40_000  # Fig 20 counts both
         assert sum(recorder.bcc_histogram().values()) == 1  # Fig 11 one

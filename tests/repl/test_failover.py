@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import SimCluster, make_fork_engine
+from repro.cluster.cluster import SimCluster
+from repro.core.policy import make_fork_engine
 from repro.config import EngineConfig
 from repro.errors import ReplicationError
 from repro.faults.plan import SITE_AOF_BYTES, FaultPlan, FaultSpec

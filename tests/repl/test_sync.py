@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import FORK_METHODS, make_fork_engine
+from repro.core.policy import FORK_METHODS, make_fork_engine
 from repro.config import EngineConfig
 from repro.errors import NoReplicasError, StaleSyncError
 from repro.faults.plan import SITE_REPL_SEND, FaultPlan, FaultSpec

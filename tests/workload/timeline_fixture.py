@@ -172,7 +172,7 @@ def _snapshot_digest(name: str, wl_kw: dict, cfg_kw: dict) -> dict:
 
 
 def _replication_digest(method: str, seed: int) -> dict:
-    from repro.cluster.cluster import make_fork_engine
+    from repro.core.policy import make_fork_engine
     from repro.config import EngineConfig
     from repro.kernel.clock import Clock
     from repro.kvs.engine import KvEngine
