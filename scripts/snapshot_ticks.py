@@ -49,9 +49,9 @@ LABELS = ("copy", "plan", "slice", "join", "reap")
 def snapshot_ticks(backend, next_command) -> list[tuple[str, float]]:
     """One BGSAVE: the (label, seconds) of every command it spans."""
     backend.handle([b"BGSAVE"])
-    job = backend._active_job
+    job = backend.engine.active_job
     costs, copied = [], []
-    while backend._active_job is not None:
+    while backend.engine.active_job is not None:
         command = next_command()
         start = time.perf_counter()  # lint: allow(wall-clock)
         backend.handle(command)

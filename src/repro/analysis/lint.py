@@ -39,6 +39,11 @@ Rules
     paired ``.remove`` on the same collector.  A hook with no teardown
     path survives into every later run and skews both perf numbers and
     checker state.
+``unused-import``
+    An imported name the module never reads.  ``__future__`` imports,
+    names listed in ``__all__``, imports marked ``# noqa: F401`` (a
+    deliberate re-export) and names used only inside string annotations
+    are exempt.
 
 Alias resolution
 ----------------
@@ -458,6 +463,50 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _unused_imports(
+    tree: ast.Module, lines: Sequence[str]
+) -> list[tuple[ast.alias, str]]:
+    """Imported ``(alias, bound name)`` pairs the module never reads."""
+    imported: list[tuple[ast.alias, str]] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*" and not any(
+                    "# noqa: F401" in lines[line - 1]
+                    for line in {node.lineno, alias.lineno}
+                ):
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.append((alias, name))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(_strings(node.value))
+        else:  # a string annotation of an argument, variable or return
+            annotation = getattr(node, "annotation", None) or getattr(
+                node, "returns", None
+            )
+            for text in _strings(annotation):
+                try:
+                    parsed = ast.parse(text, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return [(alias, name) for alias, name in imported if name not in used]
+
+
+def _strings(node: ast.AST | None) -> Iterator[str]:
+    for const in ast.walk(node) if node is not None else ():
+        if isinstance(const, ast.Constant) and isinstance(const.value, str):
+            yield const.value
+
+
 def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     """Lint Python source text; returns findings sorted by location."""
     try:
@@ -480,6 +529,8 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
             linter.imports.visit_import_from(node)
     linter.visit(tree)
     linter.finalize()
+    for alias, name in _unused_imports(tree, linter.lines):
+        linter._report(alias, "unused-import", f"{name!r} is never used")
     return sorted(linter.findings, key=lambda f: (f.line, f.col, f.rule))
 
 

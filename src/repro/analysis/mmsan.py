@@ -147,18 +147,18 @@ class Mmsan:
     @staticmethod
     def _active_async_sessions(mm) -> list:
         """Fork sessions subscribed to ``mm``'s checkpoints as parent."""
-        sessions = []
-        for sub in mm.checkpoint_subscribers:
-            owner = getattr(sub, "__self__", None)
-            if owner is None or not getattr(owner, "active", False):
-                continue
-            parent = getattr(owner, "parent", None)
-            child = getattr(owner, "child", None)
-            if parent is None or child is None:
-                continue
-            if getattr(parent, "mm", None) is mm:
-                sessions.append(owner)
-        return sessions
+        # Imported here: the fork engines import this module's package.
+        from repro.kernel.forks.base import ForkSession
+
+        owners = [getattr(sub, "__self__", None)
+                  for sub in mm.checkpoint_subscribers]
+        return [
+            owner
+            for owner in owners
+            if isinstance(owner, ForkSession)
+            and owner.active
+            and owner.parent.mm is mm
+        ]
 
     # -- auditing --------------------------------------------------------
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis import hooks
 from repro.errors import SnapshotConsistencyError

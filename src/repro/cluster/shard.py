@@ -271,11 +271,11 @@ class ClusterShard:
     @property
     def snapshotting(self) -> bool:
         """Whether a background save is in flight right now."""
-        return self.server._active_job is not None
+        return self.engine.active_job is not None
 
     @property
     def snapshots_completed(self) -> int:
-        return self.server._completed_snapshots
+        return self.server.completed_snapshots
 
     def begin_snapshot(self) -> bool:
         """Start one supervised BGSAVE; serverCron drains it.
@@ -283,12 +283,9 @@ class ClusterShard:
         Returns ``False`` when a job is already running or every fork
         attempt failed (the supervisor has then refused writes).
         """
-        if self.snapshotting:
-            return False
         job = self.supervisor.begin_save()
         if job is None:
             return False
-        self.server.attach_job(job)
         self._window_start = (
             self.engine.clock.now - job.result.stats.parent_call_ns
         )
@@ -303,7 +300,7 @@ class ClusterShard:
             self._window_start = None
             return
         start = self._window_start
-        if start is None:  # finished via a path that never attached here
+        if start is None:  # a job begin_snapshot did not start
             start = self.engine.clock.now
         end = self.engine.clock.now + job.report.persist_ns
         self.snapshot_windows.append((start, end))

@@ -26,7 +26,7 @@ harness supports two profiles:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: Instance sizes (GiB) swept by the paper's figures.
 PAPER_SIZES_GB = (1, 2, 4, 8, 16, 32, 64)
@@ -138,13 +138,11 @@ class EngineConfig:
 class AsyncForkConfig:
     """Per-cgroup Async-fork policy (§5.2 'Flexibility').
 
-    ``enabled=False`` falls back to the default fork, exactly like passing
-    ``F=0`` through the memory cgroup interface in the paper.
+    A cgroup with ``F=0`` builds no config at all: its members use the
+    default fork (:class:`repro.core.policy.ForkPolicy`).
     """
 
-    enabled: bool = True
     copy_threads: int = 8
-    huge_pages: bool = False
     #: Ablation switch (§4.3): without the two-way pointer the parent must
     #: loop over every PMD entry of a VMA on each VMA-wide modification to
     #: learn whether anything is still uncopied.
@@ -164,7 +162,6 @@ class WorkloadConfig:
     set_ratio: float = 1.0  # fraction of queries that are SET
     pattern: str = "uniform"  # 'uniform' or 'gaussian'
     seed: int = 7
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.set_ratio <= 1.0:

@@ -66,7 +66,6 @@ class AsyncFork(ForkEngine):
         config: AsyncForkConfig = AsyncForkConfig(),
     ) -> None:
         super().__init__(clock, costs)
-        config_check(config)
         self.config = config
         #: Active sessions per parent pid (for consecutive snapshots).
         self._sessions: dict[int, "AsyncForkSession"] = {}
@@ -612,17 +611,3 @@ def memory_overhead_bytes(n_vmas: int) -> int:
     if n_vmas < 0:
         raise ValueError("VMA count cannot be negative")
     return n_vmas * TWO_WAY_POINTER_BYTES
-
-
-def config_check(config: AsyncForkConfig) -> None:
-    """Reject configurations the design cannot support (§4.2).
-
-    Async-fork reuses the PMD R/W bit as its copied-marker, which is only
-    free when transparent huge pages are disabled — exactly the deployment
-    recommendation of Redis/KeyDB/MongoDB/Couchbase the paper cites.
-    """
-    if config.enabled and config.huge_pages:
-        raise ConfigurationError(
-            "Async-fork requires transparent huge pages to be disabled: "
-            "the PMD R/W bit doubles as the copied-marker (§4.2)"
-        )

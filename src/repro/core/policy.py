@@ -68,11 +68,7 @@ class MemCgroup:
 
     def to_config(self) -> AsyncForkConfig:
         """Translate the cgroup parameter into an engine configuration."""
-        return AsyncForkConfig(
-            enabled=self.async_fork_enabled,
-            copy_threads=max(1, self.async_fork_threads),
-            huge_pages=self.huge_pages,
-        )
+        return AsyncForkConfig(copy_threads=self.async_fork_threads)
 
 
 class ForkPolicy:

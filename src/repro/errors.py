@@ -84,10 +84,6 @@ class SnapshotInProgressError(KvsError):
     """A blocking snapshot request raced with one already running."""
 
 
-class WrongTypeError(KvsError):
-    """A command was applied to a key holding the wrong kind of value."""
-
-
 class CorruptSnapshotError(KvsError, ValueError):
     """An RDB snapshot file failed validation (bad magic, torn payload,
     or digest mismatch).

@@ -112,16 +112,25 @@ class CostModel:
         bandwidth = self.persist_bandwidth * speedup
         return int(nbytes / bandwidth * SEC)
 
+    def child_copy_terms(
+        self, counts: dict[str, int]
+    ) -> list[tuple[str, int, dict]]:
+        """Async-fork's serial child copy as ``(phase, ns, attrs)`` terms:
+        the PMD entries, then the PTE tables below them."""
+        return [
+            (f"child.{level}_copy", counts[level] * ns,
+             {"level": level, "entries": counts[level]})
+            for level, ns in (("pmd", self.dir_entry_copy_ns),
+                              ("pte", self.pte_entry_copy_ns))
+        ]
+
     def child_copy_ns(self, counts: dict[str, int], threads: int = 1) -> int:
         """Child-side PMD/PTE copy duration with ``threads`` workers.
 
         VMAs are independent so kernel threads get near-linear speedup
         (§5.1); the model divides the serial work accordingly.
         """
-        serial = (
-            counts["pmd"] * self.dir_entry_copy_ns
-            + counts["pte"] * self.pte_entry_copy_ns
-        )
+        serial = sum(ns for _, ns, _ in self.child_copy_terms(counts))
         return int(serial / max(1, threads))
 
     def scaled(self, **changes) -> "CostModel":

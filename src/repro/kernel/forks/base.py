@@ -199,8 +199,8 @@ class ForkEngine(abc.ABC):
                     self.costs.fork_call_ns(self.name, counts)
                 )
                 if obs.ACTIVE:
-                    obs_phases.emit_fork_phases(
-                        self.name, counts, self.costs, start
+                    obs_phases.trace_fork_phases(
+                        obs.emit, self.name, counts, self.costs, start
                     )
             stats.parent_call_ns = self.clock.now - start
             child.mm.rss = parent.mm.rss

@@ -15,7 +15,7 @@ scheduler model can account for the interference §5.1 worries about.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 #: Copy this many tables between cond_resched() checks.
 RESCHED_INTERVAL = 16

@@ -16,6 +16,10 @@ left in one call, which is what the simulated servers do at the reap.
 per call, so a server that shares its thread with the child (the live
 wire server) spends at most about one slice per command on it; the
 payload and digest are the same either way.
+
+The engine alone records the in-flight job (:attr:`KvEngine.active_job`,
+Redis's ``child_pid``), whoever started it, and every fork's stall in
+its ``latency`` monitor, as Redis's ``redisFork()`` does.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.kernel.forks.default import DefaultFork
 from repro.kernel.task import Process
 from repro.kvs import aof as aof_mod
 from repro.kvs import rdb
+from repro.kvs.latency_monitor import LatencyMonitor
 from repro.kvs.store import KvStore, ValueRef
 from repro.mem.frames import FrameAllocator
 from repro.obs import tracer as obs
@@ -120,11 +125,14 @@ class ForkJob:
         if session is not None:
             session.run_to_completion()
             if session.failed:
-                reason = session.failure_reason
-                self.abort(reason=reason)
-                raise SnapshotChildError(
-                    f"{self.kind} child failed: {reason}", reason=reason
-                )
+                self.abort(reason=session.failure_reason)
+                self._raise_failure()
+
+    def _raise_failure(self) -> None:
+        reason = self.failure_reason
+        raise SnapshotChildError(
+            f"{self.kind} child failed: {reason}", reason=reason
+        )
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down after a failure (or a watchdog kill)."""
@@ -256,9 +264,13 @@ class SnapshotJob(ForkJob):
         )
 
     def finish(self) -> SnapshotReport:
-        """Complete the copy, serialize what is left, retire the child."""
+        """Complete the copy, serialize what is left, retire the child.
+
+        A retired job returns its report or raises its failure again.
+        """
         if self.done:
-            assert self.report is not None
+            if self.report is None:
+                self._raise_failure()
             return self.report
         if self._writer is None:
             self._drain_child()
@@ -356,6 +368,8 @@ class KvEngine:
         #: The disk the background children persist through.
         self.disk = DiskDevice()
         self._active_job: Optional[ForkJob] = None
+        #: Redis's LATENCY framework: every fork call is a sample ([43]).
+        self.latency = LatencyMonitor(threshold_ms=0.01)
         self.commands_processed = 0
         #: MISCONF-style state: persistent save failures disable writes
         #: (toggled by the supervision layer, not by the engine itself).
@@ -378,6 +392,11 @@ class KvEngine:
         #: an evicted key routes through the AOF/``on_write`` machinery
         #: as a DEL so persistence and replication observe it.
         self._expires: dict[bytes, int] = {}
+
+    @property
+    def active_job(self) -> Optional[ForkJob]:
+        """The in-flight BGSAVE/BGREWRITEAOF, whoever started it."""
+        return self._active_job
 
     @property
     def clock(self) -> Clock:
@@ -549,6 +568,15 @@ class KvEngine:
 
     # -- persistence ----------------------------------------------------------
 
+    def _fork_job(self, job_type: type, **job_args) -> ForkJob:
+        """Table snapshot, fork (a ``fork`` latency sample), job."""
+        table = self.store.table_snapshot()
+        result = self.fork_engine.fork(self.process)
+        self.latency.record(
+            "fork", result.stats.parent_call_ns, at_ns=self.clock.now
+        )
+        return job_type(self, result, table, **job_args)
+
     def bgsave(self) -> SnapshotJob:
         """Fork a child to take a point-in-time snapshot (BGSAVE)."""
         if self._active_job is not None:
@@ -561,10 +589,8 @@ class KvEngine:
                 engine=self.fork_engine.name,
                 keys=len(self.store),
             )
-        table = self.store.table_snapshot()
-        result = self.fork_engine.fork(self.process)
-        job = SnapshotJob(
-            self, result, table, dirty_at_fork=self.store.dirty_since_save
+        job = self._fork_job(
+            SnapshotJob, dirty_at_fork=self.store.dirty_since_save
         )
         # Redis resets server.dirty when the BGSAVE *starts*: writes
         # landing during the snapshot window count toward the *next*
@@ -587,11 +613,8 @@ class KvEngine:
                 engine=self.fork_engine.name,
             )
         self.aof.begin_rewrite()
-        table = self.store.table_snapshot()
-        result = self.fork_engine.fork(self.process)
-        job = RewriteJob(self, result, table)
-        self._active_job = job
-        return job
+        self._active_job = self._fork_job(RewriteJob)
+        return self._active_job
 
     def snapshot_worker(self) -> SnapshotJob:
         """Fork a snapshot child *outside* the single BGSAVE slot.
@@ -603,9 +626,7 @@ class KvEngine:
         (the consecutive-snapshots rule of §5.2), so the workers'
         snapshots stay mutually consistent.
         """
-        table = self.store.table_snapshot()
-        result = self.fork_engine.fork(self.process)
-        return SnapshotJob(self, result, table)
+        return self._fork_job(SnapshotJob)
 
     def save_now(self) -> SnapshotReport:
         """Convenience: BGSAVE and immediately finish the child's work."""

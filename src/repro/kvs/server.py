@@ -9,11 +9,12 @@ Ties the pieces into something shaped like a real Redis front end:
 * a command table (strings subset + persistence + introspection);
 * the classic ``save <seconds> <changes>`` snapshot policy, evaluated
   against the simulated clock like Redis's serverCron;
-* cooperative background-job progress: each served command advances an
-  in-flight Async-fork child copy by one step and, on a server built
-  with ``snapshot_slice_bytes`` (the live wire server), one slice of the
-  BGSAVE child's serialization, mimicking how the real child runs
-  concurrently with the event loop.
+* cooperative background-job progress: each served command advances
+  the engine's in-flight job (:attr:`~repro.kvs.engine.KvEngine.
+  active_job`, whoever started it) by one Async-fork copy step and, on a
+  server built with ``snapshot_slice_bytes`` (the live wire server), one
+  slice of the BGSAVE child's serialization, mimicking how the real
+  child runs concurrently with the event loop.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.errors import (
 )
 from repro.kvs import rdb, resp
 from repro.kvs.engine import KvEngine, RewriteJob, SnapshotJob
-from repro.kvs.latency_monitor import LatencyMonitor
 from repro.kvs.resp import OK, PONG, RespError, RespValue
 from repro.units import MSEC, SEC
 
@@ -67,7 +67,6 @@ class CommandServer:
         self,
         engine: KvEngine,
         save_points: tuple[SavePoint, ...] = DEFAULT_SAVE_POINTS,
-        latency_threshold_ms: float = 0.01,
         snapshot_slice_bytes: int = 0,
     ) -> None:
         self.engine = engine
@@ -78,12 +77,12 @@ class CommandServer:
         #: servers keep the one-shot reap).
         self.snapshot_slice_bytes = snapshot_slice_bytes
         self.parser = resp.Parser()
-        #: Redis's latency monitoring framework; the fork event is where
-        #: operators first see the snapshot spike ([43], [44]).
-        self.latency = LatencyMonitor(threshold_ms=latency_threshold_ms)
+        #: The engine's latency monitor (``LATENCY`` reads it).
+        self.latency = engine.latency
         self._last_save_ns = engine.clock.now
-        self._active_job: Optional[object] = None
-        self._completed_snapshots = 0
+        #: BGSAVEs this server reaped cleanly (``INFO``'s
+        #: ``completed_snapshots``).
+        self.completed_snapshots = 0
         self._failed_jobs = 0
         #: ``ok`` until a background save fails (Redis's
         #: ``rdb_last_bgsave_status``); the next clean save resets it.
@@ -204,38 +203,21 @@ class CommandServer:
     def _background_cron(self) -> None:
         """ServerCron: advance the child copy, reap it, evaluate save points.
 
-        Mirrors Redis's serverCron: while a background job runs, each
-        tick steps the child cooperatively and — once the child's copy
-        needs no more parent help — completes the job through
-        :meth:`_job_done`, so ``LASTSAVE``/``INFO`` advance and the next
-        save point can fire without anyone draining the job by hand.
-        With ``snapshot_slice_bytes`` set, a BGSAVE child whose copy is
-        done writes one slice per tick instead, and the tick after the
-        last slice reaps it (as Redis's ``checkChildrenDone`` notices a
-        child only once it has exited).
+        Mirrors Redis's serverCron: each tick steps the engine's job,
+        whoever started it, and once the child's copy needs no more
+        parent help takes one :meth:`_job_step` towards reaping it.
         """
-        if self._active_job is not None:
-            job = self._active_job
+        job = self.engine.active_job
+        if job is not None:
             job.step_child()
-            if job.failed:
-                self._reap(job)
-            elif job.child_copy_done:
-                if (
-                    self.snapshot_slice_bytes
-                    and isinstance(job, SnapshotJob)
-                    and not job.serialized
-                ):
-                    self._write_slice(job)
-                else:
-                    self._reap(job)
+            if job.failed or job.child_copy_done:
+                self._job_step(job)
             return
         elapsed = self.engine.clock.now - self._last_save_ns
         dirty = self.engine.store.dirty_since_save
         if any(p.due(elapsed, dirty) for p in self.save_points):
             try:
-                self.attach_job(self.engine.bgsave())
-            except SnapshotInProgressError:  # pragma: no cover - defensive
-                pass
+                self.engine.bgsave()
             except ForkError:
                 # §4.4 rollback inside the fork call: bgsave() restored
                 # the dirty counter, so the save point stays due and a
@@ -243,72 +225,49 @@ class CommandServer:
                 self._failed_jobs += 1
                 self._last_bgsave_status = "err"
 
-    def _write_slice(self, job: SnapshotJob) -> None:
-        """Advance a sliced BGSAVE child by one step (or bury it)."""
+    def _job_step(self, job) -> None:
+        """Write one slice of a BGSAVE child (``snapshot_slice_bytes``),
+        or finish or bury the job; the tick after the last slice reaps,
+        as Redis's ``checkChildrenDone`` notices a child only once it
+        has exited.  A failure is recorded, never raised into a reply."""
         try:
-            job.write_slice(self.snapshot_slice_bytes)
-        except _JOB_ERRORS as exc:
-            # write_slice() already aborted the job.
-            self._job_failed(job, exc)
-
-    def _reap(self, job) -> None:
-        """Finish (or bury) a background job whose child work is done."""
-        try:
+            if (
+                self.snapshot_slice_bytes
+                and isinstance(job, SnapshotJob)
+                and not job.failed
+                and not job.serialized
+            ):
+                job.write_slice(self.snapshot_slice_bytes)
+                return
             job.finish()
         except _JOB_ERRORS as exc:
-            # job.finish() already routed the failure through
-            # job.abort(); serverCron records it and frees the slot —
-            # it must never propagate an error into a client reply.
-            self._job_failed(job, exc)
-        else:
-            self._job_done(job)
-
-    def _record_fork_latency(self, job) -> None:
-        self.latency.record(
-            "fork",
-            job.result.stats.parent_call_ns,
-            at_ns=self.engine.clock.now,
-        )
-
-    def attach_job(self, job) -> None:
-        """Adopt a background job so serverCron drives it to completion.
-
-        Used by the BGSAVE/BGREWRITEAOF handlers, the save-point cron,
-        and external snapshot coordinators (the cluster layer) alike.
-        """
-        if self._active_job is not None:
-            raise SnapshotInProgressError("a background job is running")
-        self._active_job = job
-        self._record_fork_latency(job)
+            self._job_retired(job, exc)
+            return
+        self._job_retired(job, None)
 
     def finish_background_job(self):
         """Drain the active background job (tests and shutdown use this)."""
-        if self._active_job is None:
+        job = self.engine.active_job
+        if job is None:
             return None
-        job = self._active_job
         try:
             outcome = job.finish()
         except BaseException as exc:
-            self._job_failed(job, exc)
+            self._job_retired(job, exc)
             raise
-        self._job_done(job)
+        self._job_retired(job, None)
         return outcome
 
-    def _job_done(self, job) -> None:
+    def _job_retired(self, job, error: Optional[BaseException]) -> None:
+        """Record how a job ended, then fire ``on_job_done``."""
         if isinstance(job, SnapshotJob):
-            self._completed_snapshots += 1
+            self._last_bgsave_status = "ok" if error is None else "err"
+        if error is not None:
+            self._failed_jobs += 1
+        elif isinstance(job, SnapshotJob):
+            self.completed_snapshots += 1
             self._last_save_ns = self.engine.clock.now
-            self._last_bgsave_status = "ok"
             self.last_snapshot_report = job.report
-        self._active_job = None
-        if self.on_job_done is not None:
-            self.on_job_done(job, None)
-
-    def _job_failed(self, job, error) -> None:
-        self._failed_jobs += 1
-        if isinstance(job, SnapshotJob):
-            self._last_bgsave_status = "err"
-        self._active_job = None
         if self.on_job_done is not None:
             self.on_job_done(job, error)
 
@@ -515,18 +474,20 @@ class CommandServer:
 
     def _bgsave(self, args) -> RespValue:
         self._arity(args, 0, "bgsave")
-        if self._active_job is not None:
+        try:
+            self.engine.bgsave()
+        except SnapshotInProgressError:
             raise RespError("ERR Background save already in progress")
-        self.attach_job(self.engine.bgsave())
         return resp.SimpleString(b"Background saving started")
 
     def _bgrewriteaof(self, args) -> RespValue:
         self._arity(args, 0, "bgrewriteaof")
         if self.engine.aof is None:
             raise RespError("ERR AOF is not enabled on this instance")
-        if self._active_job is not None:
+        try:
+            self.engine.bgrewriteaof()
+        except SnapshotInProgressError:
             raise RespError("ERR Background job already in progress")
-        self.attach_job(self.engine.bgrewriteaof())
         return resp.SimpleString(b"Background append only file "
                                  b"rewriting started")
 
@@ -570,7 +531,7 @@ class CommandServer:
         raise RespError(f"ERR unknown LATENCY subcommand {sub.decode()!r}")
 
     def _info(self, args) -> RespValue:
-        job = self._active_job
+        job = self.engine.active_job
         fields = {
             "fork_engine": self.engine.fork_engine.name,
             "db_keys": len(self.engine.store),
@@ -578,7 +539,7 @@ class CommandServer:
             "rdb_bgsave_in_progress": int(isinstance(job, SnapshotJob)),
             "rdb_last_bgsave_status": self._last_bgsave_status,
             "aof_rewrite_in_progress": int(isinstance(job, RewriteJob)),
-            "completed_snapshots": self._completed_snapshots,
+            "completed_snapshots": self.completed_snapshots,
             "failed_background_jobs": self._failed_jobs,
             "rss_pages": self.engine.process.mm.rss,
         }

@@ -12,6 +12,7 @@ phase-breakdown report the ``repro-trace`` CLI prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.obs.tracer import (
     CAT_PHASE,
@@ -86,56 +87,37 @@ def fork_phase_segments(
 def child_copy_segments(
     counts: dict[str, int], start_ns: int, end_ns: int, costs
 ) -> list[tuple[str, int, int, dict]]:
-    """Split Async-fork's child copy window into PMD and PTE shares."""
+    """Split Async-fork's child copy window into PMD and PTE shares, in
+    proportion to :meth:`~repro.kernel.costs.CostModel.child_copy_terms`."""
     window = int(end_ns) - int(start_ns)
     if window <= 0:
         return []
-    pmd_work = counts["pmd"] * costs.dir_entry_copy_ns
-    pte_work = counts["pte"] * costs.pte_entry_copy_ns
+    (pmd_name, pmd_work, pmd_attrs), (pte_name, pte_work, pte_attrs) = (
+        costs.child_copy_terms(counts)
+    )
     serial = pmd_work + pte_work
     if serial <= 0:
         return []
     split = int(start_ns) + window * pmd_work // serial
     return [
-        (
-            "child.pmd_copy",
-            int(start_ns),
-            split,
-            {"level": "pmd", "entries": counts["pmd"]},
-        ),
-        (
-            "child.pte_copy",
-            split,
-            int(end_ns),
-            {"level": "pte", "entries": counts["pte"]},
-        ),
+        (pmd_name, int(start_ns), split, pmd_attrs),
+        (pte_name, split, int(end_ns), pte_attrs),
     ]
 
 
 def trace_fork_phases(
-    tracer: Tracer,
+    sink: Callable[..., None],
     method: str,
     counts: dict[str, int],
     costs,
     start_ns: int,
 ) -> None:
-    """Record the fork call's phase spans into ``tracer``."""
+    """Record the fork call's phase spans through ``sink``: one
+    tracer's ``add``, or :func:`repro.obs.tracer.emit` for all of them."""
     for name, s, e, attrs in fork_phase_segments(
         method, counts, costs, start_ns
     ):
-        tracer.add(name, CAT_PHASE, s, e, **attrs)
-
-
-def emit_fork_phases(
-    method: str, counts: dict[str, int], costs, start_ns: int
-) -> None:
-    """Emit the fork call's phase spans to every installed tracer."""
-    from repro.obs import tracer as _tracer
-
-    for name, s, e, attrs in fork_phase_segments(
-        method, counts, costs, start_ns
-    ):
-        _tracer.emit(name, CAT_PHASE, s, e, **attrs)
+        sink(name, CAT_PHASE, s, e, **attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.errors import (
     UnroutableCommandError,
 )
 from repro.kvs import resp
+from repro.kvs.latency_monitor import LatencyMonitor
 from repro.kvs.resp import OK, RespError, RespValue
 from repro.kvs.server import CommandServer
 from repro.proxy.core import ClusterProxy
@@ -43,6 +44,8 @@ class ProxyFrontend(CommandServer):
         # Shard 0's engine supplies the shared clock and AOF handle the
         # net layer reads; the proxy never serves keys from it directly.
         super().__init__(proxy.cluster.shards[0].engine, save_points=())
+        # A monitor of its own: shard 0's forks are not the proxy's.
+        self.latency = LatencyMonitor(threshold_ms=self.latency.threshold_ms)
         self.proxy = proxy
         #: Commands the frontend answers itself instead of routing.
         self._local = {
@@ -100,31 +103,29 @@ class ProxyFrontend(CommandServer):
     # machine-wide commands
     # ------------------------------------------------------------------
 
+    def _on_every_shard(self, command: bytes) -> list:
+        """Each shard's reply to ``command``; raises the first error."""
+        values = []
+        for shard in self.proxy.cluster.shards:
+            reply = self.proxy.client.execute_on(shard.shard_id, command)
+            if isinstance(reply.value, RespError):
+                raise reply.value
+            values.append(reply.value)
+        return values
+
     def _broadcast_bgsave(self, args) -> RespValue:
         self._arity(args, 0, "bgsave")
-        for shard in self.proxy.cluster.shards:
-            reply = self.proxy.client.execute_on(shard.shard_id, b"BGSAVE")
-            if isinstance(reply.value, RespError):
-                return reply.value
+        self._on_every_shard(b"BGSAVE")
         return resp.SimpleString(b"Background saving started")
 
     def _broadcast_flushall(self, args) -> RespValue:
         self._arity(args, 0, "flushall")
-        for shard in self.proxy.cluster.shards:
-            reply = self.proxy.client.execute_on(shard.shard_id, b"FLUSHALL")
-            if isinstance(reply.value, RespError):
-                return reply.value
+        self._on_every_shard(b"FLUSHALL")
         return OK
 
     def _sum_dbsize(self, args) -> RespValue:
         self._arity(args, 0, "dbsize")
-        total = 0
-        for shard in self.proxy.cluster.shards:
-            reply = self.proxy.client.execute_on(shard.shard_id, b"DBSIZE")
-            if isinstance(reply.value, RespError):
-                return reply.value
-            total += reply.value
-        return total
+        return sum(self._on_every_shard(b"DBSIZE"))
 
     def _forward_cluster(self, args) -> RespValue:
         # Any shard can answer: the slot map is one shared object.

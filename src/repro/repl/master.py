@@ -82,7 +82,7 @@ class ReplicaSession:
     node: ReplicaNode
     link: ReplLink
     connected: bool = True
-    #: In-flight full sync (cooperatively stepped via serverCron).
+    #: In-flight full sync (stepped by the master or a serverCron).
     sync_job: Optional[ForkJob] = None
     #: Stream position the in-flight RDB image corresponds to.
     sync_offset: int = 0
@@ -315,8 +315,6 @@ class ReplicationMaster:
                 f"full sync for {session.node.name!r} failed: every "
                 "supervised fork attempt rolled back"
             )
-        while not job.child_copy_done:
-            job.step_child()
         return self._finish_full_sync(session)
 
     def _finish_full_sync(self, session: ReplicaSession) -> FullSyncReport:
@@ -324,17 +322,20 @@ class ReplicationMaster:
         job = session.sync_job
         session.sync_job = None
         assert job is not None
+        # On a served engine serverCron may have reaped the job already
+        # and reported it; the supervisor hears each job once.
+        supervisor = None if job.done else self.supervisor
         start_ns = self.clock.now
         try:
             report = job.finish()
         except Exception as exc:
-            if self.supervisor is not None:
-                self.supervisor.observe_completion(exc)
+            if supervisor is not None:
+                supervisor.observe_completion(exc)
             self.full_sync_failures += 1
             self._drop_session(session)
             raise
-        if self.supervisor is not None:
-            self.supervisor.observe_completion(None)
+        if supervisor is not None:
+            supervisor.observe_completion(None)
         snapshot = report.file
         try:
             ship_ns = session.link.transfer_ns(snapshot.size, what="rdb")
@@ -440,9 +441,10 @@ class ReplicationMaster:
         self.alive = False
         self.died_at_ns = now if now is not None else self.clock.now
         for session in self.sessions.values():
-            if session.sync_job is not None:
-                session.sync_job.abort(reason="master-sigkill")
-                session.sync_job = None
+            job, session.sync_job = session.sync_job, None
+            # A job serverCron already reaped has no child left to kill.
+            if job is not None and not job.done:
+                job.abort(reason="master-sigkill")
             session.connected = False
         if obs.ACTIVE:
             obs.emit_instant(

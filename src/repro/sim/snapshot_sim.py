@@ -459,7 +459,7 @@ class _Runner:
                     fork_at + self.fork_ns,
                 )
                 trace_fork_phases(
-                    trace, method, self.counts, self.config.costs, fork_at
+                    trace.add, method, self.counts, self.config.costs, fork_at
                 )
                 self._arm_windows(fork_start)
 

@@ -440,7 +440,7 @@ def _finish(
             fork_at + runner.fork_ns,
         )
         trace_fork_phases(
-            trace, method, runner.counts, runner.config.costs, fork_at
+            trace.add, method, runner.counts, runner.config.costs, fork_at
         )
         runner._arm_windows(fork_start)
 

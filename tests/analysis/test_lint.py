@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.lint import LintFinding, lint_paths, lint_source, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -188,6 +186,64 @@ class TestPragmaAndOutput:
         )
         findings = lint_source(src)
         assert [f.line for f in findings] == [2, 3]
+
+
+class TestUnusedImport:
+    def test_unused_import_is_flagged(self):
+        assert rules("import os\n") == ["unused-import"]
+
+    def test_unused_from_import_names_the_binding(self):
+        (finding,) = lint_source("from typing import Optional as Opt\n")
+        assert finding.rule == "unused-import"
+        assert "'Opt'" in finding.message
+
+    def test_function_scope_import_is_flagged(self):
+        assert rules("def f():\n    import os\n    return 1\n") == [
+            "unused-import"
+        ]
+
+    def test_used_imports_are_fine(self):
+        src = (
+            "import os.path\n"
+            "from typing import Callable\n"
+            "x = os.path.join('a', 'b')\n"
+            "def f(g: Callable) -> None:\n"
+            "    del g\n"
+        )
+        assert rules(src) == []
+
+    def test_future_import_is_exempt(self):
+        assert rules("from __future__ import annotations\n") == []
+
+    def test_names_in_dunder_all_are_exempt(self):
+        src = "from typing import Callable\n__all__ = ['Callable']\n"
+        assert rules(src) == []
+
+    def test_noqa_marks_a_re_export(self):
+        assert rules("import os  # noqa: F401\n") == []
+        src = (
+            "from typing import (  # noqa: F401 - re-exported\n"
+            "    Callable,\n"
+            "    Optional,\n"
+            ")\n"
+        )
+        assert rules(src) == []
+
+    def test_other_noqa_codes_do_not_exempt(self):
+        assert rules("import os  # noqa: E402\n") == ["unused-import"]
+
+    def test_string_annotations_count_as_use(self):
+        src = (
+            "from typing import Optional\n"
+            "from repro.kvs.engine import KvEngine\n"
+            "def f(engine: 'KvEngine') -> 'Optional[int]':\n"
+            "    x: 'Optional[KvEngine]' = engine\n"
+            "    return None\n"
+        )
+        assert rules(src) == []
+
+    def test_plain_strings_are_not_a_use(self):
+        assert rules("import os\nx = 'os'\n") == ["unused-import"]
 
 
 class TestCli:

@@ -223,7 +223,7 @@ class TestCooperativeSupervision:
         supervisor = SnapshotSupervisor(engine)
         job = supervisor.begin_save()
         assert job is not None
-        assert engine._active_job is job
+        assert engine.active_job is job
         report = job.finish()
         supervisor.observe_completion(None)
         assert report.file.entry_count == 1

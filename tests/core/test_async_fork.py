@@ -275,11 +275,3 @@ class TestConsecutiveSnapshots:
                 vma.start, {b"alpha": b"round", b"round": b"again",
                             b"again": b"final"}[expected]
             )
-
-
-class TestHugePageGuard:
-    def test_huge_pages_conflict_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            AsyncFork(config=AsyncForkConfig(huge_pages=True))

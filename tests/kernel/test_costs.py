@@ -121,6 +121,23 @@ class TestChildCopy:
         ns = DEFAULT_COSTS.child_copy_ns(counts(8), 1)
         assert 60 * MSEC < ns < 85 * MSEC
 
+    def test_terms_equal_the_closed_form(self):
+        c = counts(8)
+        terms = DEFAULT_COSTS.child_copy_terms(c)
+        assert [name for name, _, _ in terms] == [
+            "child.pmd_copy",
+            "child.pte_copy",
+        ]
+        serial = (
+            c["pmd"] * DEFAULT_COSTS.dir_entry_copy_ns
+            + c["pte"] * DEFAULT_COSTS.pte_entry_copy_ns
+        )
+        assert sum(ns for _, ns, _ in terms) == serial
+        for threads in (1, 3, 8):
+            assert DEFAULT_COSTS.child_copy_ns(c, threads) == int(
+                serial / threads
+            )
+
 
 class TestScaled:
     def test_scaled_replaces(self):

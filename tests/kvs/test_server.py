@@ -10,7 +10,7 @@ from repro.kvs import resp
 from repro.kvs.engine import KvEngine
 from repro.kvs.resp import RespError, SimpleString, encode_command
 from repro.kvs.server import DEFAULT_SAVE_POINTS, CommandServer, SavePoint
-from repro.units import SEC
+from repro.units import MSEC, SEC
 
 
 @pytest.fixture
@@ -127,9 +127,9 @@ class TestBackgroundJobs:
         # the copy drains, cron completes the job on its own.
         for _ in range(30):
             send(server, "PING")
-        job = server._active_job
+        job = server.engine.active_job
         if job is None:
-            assert server._completed_snapshots == 1
+            assert server.completed_snapshots == 1
         else:
             session = job.result.session
             assert session.done or session.stats.child_tables_copied > 0
@@ -153,6 +153,51 @@ class TestBackgroundJobs:
         assert len(log) < 5 + 1
 
 
+class TestJobStartedOutsideTheServer:
+    """The engine holds the one record of the in-flight job, so the
+    server sees a BGSAVE it did not start (here a direct
+    ``engine.bgsave()``) in its handlers, ``INFO``, ``LATENCY`` and
+    serverCron."""
+
+    @pytest.fixture
+    def busy(self):
+        engine = KvEngine(fork_engine=AsyncFork())
+        server = CommandServer(engine, save_points=())
+        # Enough data that the child copy outlives one cron step.
+        for i in range(300):
+            engine.set(f"k{i}", b"x" * 16384)
+        return server, engine.bgsave()
+
+    @pytest.mark.parametrize("via", ["call", "feed"])
+    def test_bgsave_replies_in_progress(self, busy, via):
+        server, _ = busy
+        if via == "call":
+            reply = server.call([b"BGSAVE"])
+        else:
+            reply = send(server, "BGSAVE")
+        assert isinstance(reply, RespError)
+        assert reply.message == "ERR Background save already in progress"
+
+    def test_info_reports_the_bgsave(self, busy):
+        server, _ = busy
+        assert b"rdb_bgsave_in_progress:1\r\n" in send(server, "INFO")
+
+    def test_latency_history_holds_the_fork(self, busy):
+        server, job = busy
+        assert len(send(server, "LATENCY", "HISTORY", "fork")) == 1
+        (sample,) = server.latency.history("fork")
+        assert sample.duration_ms == job.result.stats.parent_call_ns / MSEC
+
+    def test_cron_reaps_it(self, busy):
+        server, job = busy
+        for _ in range(10):
+            send(server, "PING")
+        assert server.engine.active_job is None
+        assert job.done
+        assert server.completed_snapshots == 1
+        assert server.last_snapshot_report is job.report
+
+
 class TestSavePolicy:
     def test_default_rules_match_redis_conf(self):
         assert SavePoint(60, 10_000) in DEFAULT_SAVE_POINTS
@@ -171,10 +216,10 @@ class TestSavePolicy:
         for i in range(6):
             send(server, "SET", f"k{i}", "v")
         # Less than a second of simulated time has passed: not yet due.
-        assert server._active_job is None
+        assert server.engine.active_job is None
         engine.clock.advance(2 * SEC)
         send(server, "PING")  # serverCron runs on command handling
-        assert server._active_job is not None
+        assert server.engine.active_job is not None
         report = server.finish_background_job()
         assert report.file.entry_count == 6
         assert engine.store.dirty_since_save == 0

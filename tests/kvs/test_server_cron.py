@@ -47,7 +47,7 @@ class TestCronLifecycle:
     def _drive_to_completion(self, server: CommandServer, limit: int = 512):
         """PING until cron reaps the active job (bounded)."""
         for _ in range(limit):
-            if server._active_job is None:
+            if server.engine.active_job is None:
                 return
             send(server, "PING")
         raise AssertionError("cron never completed the background job")
@@ -56,10 +56,10 @@ class TestCronLifecycle:
         engine = server.engine
         for i in range(6):
             send(server, "SET", f"k{i}", "v" * 64)
-        assert server._active_job is None  # not due yet (elapsed < 1 s)
+        assert server.engine.active_job is None  # not due yet (elapsed < 1 s)
         engine.clock.advance(2 * SEC)
         send(server, "PING")  # cron fires the save point
-        assert server._active_job is not None
+        assert server.engine.active_job is not None
 
         self._drive_to_completion(server)
 
@@ -95,11 +95,11 @@ class TestCronLifecycle:
         engine.clock.advance(2 * SEC)
         send(server, "PING")
         assert (
-            server._active_job is not None
-            or server._completed_snapshots == 2
+            server.engine.active_job is not None
+            or server.completed_snapshots == 2
         )
         self._drive_to_completion(server)
-        assert server._completed_snapshots == 2
+        assert server.completed_snapshots == 2
 
     def test_info_reports_in_progress_during_async_copy(self):
         """While the Async-fork child copy is in flight, INFO sees it.
@@ -122,7 +122,7 @@ class TestCronLifecycle:
         send(server, "SET", "k", "v")
         send(server, "BGSAVE")
         self._drive_to_completion(server)
-        assert server._completed_snapshots == 1
+        assert server.completed_snapshots == 1
 
 
 class TestDirtyCounterAtForkPoint:

@@ -66,7 +66,7 @@ def test_server_survives_any_command_stream(commands):
             assert isinstance(reply, (bytes, RespError))
 
     # Whatever happened, the store matches the reference at the end.
-    if server._active_job is not None:
+    if server.engine.active_job is not None:
         server.finish_background_job()
     for key in KEYS:
         assert server.engine.get(key) == reference.get(key)

@@ -130,7 +130,7 @@ class TestServerWhileSliced:
     @staticmethod
     def _until_reaped(server: CommandServer, limit: int = 500) -> None:
         for _ in range(limit):
-            if server._active_job is None:
+            if server.engine.active_job is None:
                 return
             send(server, "PING")
         raise AssertionError("the sliced BGSAVE was never reaped")
@@ -141,7 +141,7 @@ class TestServerWhileSliced:
         before = send(server, "LASTSAVE")
         server.engine.clock.advance(3 * SEC)
         assert send(server, "BGSAVE") == b"Background saving started"
-        job = server._active_job
+        job = server.engine.active_job
 
         def info_in_progress():
             fields = info_fields(server)
@@ -166,7 +166,7 @@ class TestServerWhileSliced:
         assert ticks > 5
         # Written and joined is not reaped: the next tick reaps, before
         # its command runs.
-        assert server._active_job is job
+        assert server.engine.active_job is job
         fields = info_fields(server)
         assert fields["rdb_bgsave_in_progress"] == "0"
         assert fields["completed_snapshots"] == "1"
@@ -181,14 +181,14 @@ class TestServerWhileSliced:
         engine.attach_fault_plan(plan)
         frames_before = engine.frames.allocated
         send(server, "BGSAVE")
-        job = server._active_job
+        job = server.engine.active_job
         while not job.serialized:
             send(server, "PING")
         assert plan.events == []
         send(server, "PING")  # the reap tick: the disk write fails
 
         assert [e.site for e in plan.events] == [SITE_DISK_WRITE]
-        assert server._active_job is None
+        assert server.engine.active_job is None
         fields = info_fields(server)
         assert fields["rdb_last_bgsave_status"] == "err"
         assert fields["failed_background_jobs"] == "1"
@@ -210,6 +210,6 @@ class TestServerWhileSliced:
         server = CommandServer(engine, save_points=())
         send(server, "BGSAVE")
         send(server, "PING")
-        assert server._active_job is None
+        assert server.engine.active_job is None
         assert info_fields(server)["completed_snapshots"] == "1"
 

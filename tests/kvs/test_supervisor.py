@@ -115,7 +115,7 @@ class TestEveryForkMethod:
         assert supervisor.counters.watchdog_kills == 0
         assert supervisor.counters.job_failures == {}
         assert not engine.writes_refused
-        assert engine._active_job is None
+        assert engine.active_job is None
 
 
 class TestWatchdog:
@@ -134,7 +134,7 @@ class TestWatchdog:
         assert report is not None
         assert supervisor.counters.watchdog_kills == 1
         assert supervisor.counters.job_failures == {"watchdog-timeout": 1}
-        assert engine._active_job is None
+        assert engine.active_job is None
 
 
 class TestDegradation:

@@ -75,9 +75,9 @@ class TestCommands:
             # Drive commands until the background child is reaped.
             for _ in range(64):
                 await client.execute("PING")
-                if server.backend.engine._active_job is None:
+                if server.backend.engine.active_job is None:
                     break
-            assert server.backend.engine._active_job is None
+            assert server.backend.engine.active_job is None
             # LASTSAVE reports whole sim-seconds (0 at tiny sim times);
             # the ns-level record must show the completed save.
             assert await client.execute("LASTSAVE") >= 0
@@ -267,7 +267,7 @@ class TestCostEmulation:
         assert sliced.snapshot_slice_bytes == SNAPSHOT_SLICE_BYTES
         sliced.handle([b"BGSAVE"])
         ticks = 0
-        while sliced._active_job is not None:
+        while sliced.engine.active_job is not None:
             sliced.handle([b"SET", b"key:%012d" % ticks, b"new"])
             ticks += 1
         # 1.5 MB of values: a planning tick, several slices, a join
@@ -297,7 +297,7 @@ class TestCostEmulation:
                 await client.execute("BGSAVE")
                 for _ in range(64):
                     await client.execute("PING")
-                    if server.backend.engine._active_job is None:
+                    if server.backend.engine.active_job is None:
                         break
                 await client.close()
 

@@ -61,7 +61,7 @@ class TestForkPhaseSegments:
 
     def test_trace_fork_phases_records(self):
         t = Tracer()
-        trace_fork_phases(t, "async", COUNTS, DEFAULT_COSTS, 0)
+        trace_fork_phases(t.add, "async", COUNTS, DEFAULT_COSTS, 0)
         assert t.count("fork.") == len(
             fork_phase_segments("async", COUNTS, DEFAULT_COSTS, 0)
         )

@@ -69,7 +69,7 @@ def test_bgsave_broadcasts_to_every_shard(front):
     assert reply == b"Background saving started"
     for shard in front.proxy.cluster.shards:
         shard.server.finish_background_job()
-        assert shard.server._completed_snapshots == 1
+        assert shard.server.completed_snapshots == 1
 
 
 def test_cluster_forwarded_to_a_shard(front):

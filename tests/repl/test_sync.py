@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.shard import ClusterShard, ShardedCommandServer
+from repro.cluster.slots import SlotMap
 from repro.core.policy import FORK_METHODS, make_fork_engine
 from repro.config import EngineConfig
-from repro.errors import NoReplicasError, StaleSyncError
-from repro.faults.plan import SITE_REPL_SEND, FaultPlan, FaultSpec
+from repro.errors import NoReplicasError, SnapshotChildError, StaleSyncError
+from repro.faults.plan import (
+    SITE_CHILD_COPY,
+    SITE_REPL_SEND,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.kernel.clock import Clock
 from repro.kvs.engine import KvEngine
+from repro.kvs.resp import Parser, RespError, encode_command
 from repro.kvs.server import CommandServer
 from repro.kvs.supervisor import SnapshotSupervisor
 from repro.repl import (
@@ -18,7 +26,7 @@ from repro.repl import (
     ReplicaNode,
     ReplicationMaster,
 )
-from repro.units import ms, us
+from repro.units import MSEC, ms, us
 
 
 def make_master(method: str = "async", seed: int = 0, **kwargs):
@@ -32,6 +40,14 @@ def make_master(method: str = "async", seed: int = 0, **kwargs):
         engine, supervisor=supervisor, seed=seed, **kwargs
     )
     return master, clock
+
+
+def reply_value_of(reply_bytes: bytes):
+    """Parse the single reply a RESP client reads from ``feed``."""
+    parser = Parser()
+    parser.feed(reply_bytes)
+    (value,) = list(parser)
+    return value
 
 
 def attach_synced_replica(master, clock, name="replica0", plan=None):
@@ -253,3 +269,117 @@ class TestDegradation:
         assert "connected_slaves:1" in text
         assert "sync_full:1" in text
         node.close()
+
+
+class TestFullSyncOnAServedEngine:
+    """A full sync on an engine a shard also serves (the composition
+    ``promote_into_cluster`` builds): the server sees the sync's child,
+    and each job's outcome reaches the supervisor once."""
+
+    @staticmethod
+    def served_master(plan=None):
+        master, clock = make_master("async")
+        # Enough data that the child copy outlives one cron step.
+        for i in range(300):
+            master.engine.set(b"k:%04d" % i, b"v" * 16384)
+        if plan is not None:
+            master.engine.attach_fault_plan(plan)
+        engine = master.engine
+        shard = ClusterShard(
+            0,
+            engine,
+            ShardedCommandServer(engine, shard_id=0, slot_map=SlotMap(1)),
+            master.supervisor,
+        )
+        node = ReplicaNode("replica0", clock)
+        session = master.add_replica(node, ReplLink())
+        return master, shard, session
+
+    @pytest.mark.parametrize("via", ["call", "feed"])
+    def test_client_bgsave_replies_in_progress(self, via):
+        master, shard, session = self.served_master()
+        master.begin_full_sync(session)
+        if via == "call":
+            reply = shard.server.call([b"BGSAVE"])
+        else:
+            reply = shard.server.feed(encode_command(b"BGSAVE"))
+            reply = reply_value_of(reply)
+        assert isinstance(reply, RespError)
+        assert reply.message == "ERR Background save already in progress"
+        session.node.close()
+
+    def test_info_reports_the_sync_bgsave(self):
+        master, shard, session = self.served_master()
+        master.begin_full_sync(session)
+        assert b"rdb_bgsave_in_progress:1\r\n" in shard.server.call(
+            [b"INFO"]
+        )
+        session.node.close()
+
+    def test_latency_history_holds_the_sync_fork(self):
+        master, shard, session = self.served_master()
+        job = master.begin_full_sync(session)
+        rows = shard.server.call([b"LATENCY", b"HISTORY", b"fork"])
+        assert len(rows) == 1
+        (sample,) = shard.server.latency.history("fork")
+        assert sample.duration_ms == job.result.stats.parent_call_ns / MSEC
+        session.node.close()
+
+    @pytest.mark.parametrize("outcome", ["clean", "sigkill"])
+    @pytest.mark.parametrize("reaper", ["server", "master"])
+    def test_supervisor_hears_each_job_once(
+        self, monkeypatch, reaper, outcome
+    ):
+        plan = None
+        if outcome == "sigkill":
+            plan = FaultPlan(seed=0)
+            plan.add(FaultSpec(site=SITE_CHILD_COPY, kind="sigkill"))
+        master, shard, session = self.served_master(plan)
+        supervisor = master.supervisor
+        heard = []
+        observe = supervisor.observe_completion
+        monkeypatch.setattr(
+            supervisor,
+            "observe_completion",
+            lambda error: (heard.append(error), observe(error)),
+        )
+        job = master.begin_full_sync(session)
+        if reaper == "server":
+            for _ in range(10):
+                shard.server.call([b"PING"])
+        report = None
+        try:
+            while report is None:
+                report = master.step_full_sync(session)
+        except SnapshotChildError:
+            assert outcome == "sigkill"
+        else:
+            assert outcome == "clean"
+            assert report.keys == 300
+        shard.server.call([b"PING"])
+        assert job.done
+        assert len(heard) == 1
+        assert (heard[0] is None) == (outcome == "clean")
+        session.node.close()
+
+    def test_finish_on_an_aborted_job_raises_its_reason(self):
+        master, _, session = self.served_master()
+        job = master.begin_full_sync(session)
+        master.kill()
+        with pytest.raises(SnapshotChildError) as info:
+            job.finish()
+        assert info.value.reason == "master-sigkill"
+        session.node.close()
+
+    def test_kill_leaves_a_reaped_sync_job_as_it_ended(self):
+        master, shard, session = self.served_master()
+        job = master.begin_full_sync(session)
+        for _ in range(10):
+            shard.server.call([b"PING"])
+        assert job.done
+        master.kill()
+        assert not job.failed
+        assert job.finish() is job.report
+        with pytest.raises(StaleSyncError):
+            master.step_full_sync(session)
+        session.node.close()
