@@ -11,12 +11,13 @@ what the tick did for the child:
 * ``copy``: an Async-fork page-table copy step;
 * ``plan``: the last copy step (if any) plus planning the walk;
 * ``slice``: one byte-budgeted slice (``net.app.SNAPSHOT_SLICE_BYTES``);
-* ``join``: joining the payload;
+* ``close``: closing the writer (the file joins and hashes its payload
+  only when read, off the serving ticks);
 * ``reap``: ``SnapshotJob.finish`` (persist, retire the child).
 
 It prints the median and max per label over the measured rounds (the
 first ``--warmup`` rounds are dropped) and exits 1 if the median plan,
-join or reap tick costs more than ``--limit`` times the median slice.
+close or reap tick costs more than ``--limit`` times the median slice.
 Medians, because on a shared VM any single tick can take a few ms more
 when another tenant runs.
 
@@ -43,7 +44,7 @@ from repro.net.app import (  # noqa: E402
     build_backend,
 )
 
-LABELS = ("copy", "plan", "slice", "join", "reap")
+LABELS = ("copy", "plan", "slice", "close", "reap")
 
 
 def snapshot_ticks(backend, next_command) -> list[tuple[str, float]]:
@@ -59,10 +60,10 @@ def snapshot_ticks(backend, next_command) -> list[tuple[str, float]]:
         copied.append(job.child_copy_done)
     # Ticks before the copy finished are copy steps; the tick that
     # finished it (or the first tick, for an engine with nothing to
-    # copy) also planned; the last two joined and reaped.
+    # copy) also planned; the last two closed and reaped.
     plan = copied.index(True)
     labels = ["copy"] * plan + ["plan"]
-    labels += ["slice"] * (len(costs) - plan - 3) + ["join", "reap"]
+    labels += ["slice"] * (len(costs) - plan - 3) + ["close", "reap"]
     return list(zip(labels, costs))
 
 

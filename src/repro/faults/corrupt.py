@@ -7,13 +7,13 @@ truncation, and the classic torn AOF tail of a crash mid-append.
 
 All damage is drawn from the fault plan's seeded RNG, so a corrupted
 reboot replays bit-identically.  The helpers work on raw bytes (and,
-for snapshots, on any dataclass with a ``payload`` field) so this
-module stays free of key-value-store imports.
+for snapshots, on any file type built as ``type(payload=...,
+entry_count=..., digest=...)``) so this module stays free of
+key-value-store imports.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from random import Random  # typing only; construction is banned outside repro.determinism
 
 from repro.faults.plan import FaultSpec
@@ -43,10 +43,12 @@ def corrupt_snapshot(snapshot, spec: FaultSpec, rng: Random):
     """Apply a ``kvs.rdb.bytes`` fault to a snapshot file.
 
     Returns a *new* snapshot object (the original is left intact, like
-    the good generation still sitting on disk).  ``meta`` is preserved,
-    so a digest recorded at dump time now disagrees with the payload —
-    exactly what :func:`repro.kvs.rdb.verify` exists to catch.
+    the good generation still sitting on disk).  The new file carries
+    the original's digest, fixed from the original bytes before they are
+    damaged, so it now disagrees with the payload — exactly what
+    :func:`repro.kvs.rdb.verify` exists to catch.
     """
+    digest = snapshot.digest
     payload = snapshot.payload
     if spec.kind == "bitrot":
         payload = bitrot(payload, rng, nbytes=max(1, spec.magnitude))
@@ -54,8 +56,8 @@ def corrupt_snapshot(snapshot, spec: FaultSpec, rng: Random):
         payload = truncate(payload, rng, max_cut=8 * max(1, spec.magnitude))
     else:
         raise ValueError(f"not a snapshot corruption kind: {spec.kind!r}")
-    return dataclasses.replace(
-        snapshot, payload=payload, meta=dict(snapshot.meta)
+    return type(snapshot)(
+        payload=payload, entry_count=snapshot.entry_count, digest=digest
     )
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.errors import (
+    ForkError,
     SnapshotChildError,
     SnapshotInProgressError,
     WritesRefusedError,
@@ -184,8 +185,9 @@ class SnapshotJob(ForkJob):
         self._dirty_at_fork = dirty_at_fork
         #: Sliced serialization state (:meth:`write_slice`): the writer,
         #: the rest of the child's keyspace walk, the payload offset at
-        #: which each entry ends, entries written, and the joined file
-        #: once every entry is in.
+        #: which each entry ends, entries written, and the closed file
+        #: once every entry is in (still unjoined and unhashed: the file
+        #: does both when a reader asks).
         self._writer: Optional[rdb.Writer] = None
         self._entries: Optional[Iterator[tuple[bytes, bytes]]] = None
         self._ends: Optional[np.ndarray] = None
@@ -202,7 +204,8 @@ class SnapshotJob(ForkJob):
 
     @property
     def serialized(self) -> bool:
-        """Whether :meth:`write_slice` has written and joined the payload."""
+        """Whether :meth:`write_slice` has written every entry and closed
+        the file."""
         return self._snapshot is not None
 
     def write_slice(self, budget: int) -> int:
@@ -216,9 +219,10 @@ class SnapshotJob(ForkJob):
         read.  Each later call writes the entries that fit in ``budget``
         payload bytes (more only when one entry alone is larger),
         reading at most ``budget`` bytes of pages per ``read_pages``
-        call.  The call after the last entry joins the payload; then
-        :attr:`serialized` is true and :meth:`finish` only persists and
-        retires.  Any failure aborts the job and re-raises.
+        call.  The call after the last entry closes the writer, which
+        hands its packed parts to the file without joining or hashing
+        them; then :attr:`serialized` is true and :meth:`finish` only
+        persists and retires.  Any failure aborts the job and re-raises.
         """
         try:
             if self._writer is None:
@@ -252,16 +256,12 @@ class SnapshotJob(ForkJob):
 
     def _plan_slices(self, budget: int) -> None:
         table = self._table
-        count = len(table)
-        value_sizes = np.array(
-            [ref.length for ref in table.values()], dtype=np.int64
-        )
-        key_sizes = np.fromiter(map(len, table), np.int64, count)
-        self._ends = np.cumsum(key_sizes + value_sizes + 8)
-        self._writer = rdb.Writer(count)
-        self._entries = self.engine.store.items_from(
+        value_sizes, self._entries = self.engine.store.sized_items_from(
             self.child.mm, table, chunk_pages=max(1, budget // PAGE_SIZE)
         )
+        key_sizes = np.fromiter(map(len, table), np.int64, len(table))
+        self._ends = np.cumsum(key_sizes + value_sizes + 8)
+        self._writer = rdb.Writer(len(table))
 
     def finish(self) -> SnapshotReport:
         """Complete the copy, serialize what is left, retire the child.
@@ -315,11 +315,18 @@ class RewriteJob(ForkJob):
     """A BGREWRITEAOF in flight (same fork mechanics as BGSAVE)."""
 
     kind = "rewrite"
+    #: The rewritten log, once the rewrite completed.
+    rewritten: Optional[aof_mod.AppendOnlyFile] = None
 
     def finish(self) -> aof_mod.AppendOnlyFile:
-        """Build the compact log and splice in the rewrite buffer."""
+        """Build the compact log and splice in the rewrite buffer.
+
+        A retired job returns its log or raises its failure again.
+        """
         if self.done:
-            return self.engine.aof
+            if self.rewritten is None:
+                self._raise_failure()
+            return self.rewritten
         self._drain_child()
         compact = list(
             aof_mod.compact_commands(
@@ -336,7 +343,8 @@ class RewriteJob(ForkJob):
         self._retire()
         self.done = True
         assert self.engine.aof is not None
-        return self.engine.aof.complete_rewrite(compact)
+        self.rewritten = self.engine.aof.complete_rewrite(compact)
+        return self.rewritten
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down after a failure."""
@@ -613,7 +621,13 @@ class KvEngine:
                 engine=self.fork_engine.name,
             )
         self.aof.begin_rewrite()
-        self._active_job = self._fork_job(RewriteJob)
+        try:
+            self._active_job = self._fork_job(RewriteJob)
+        except ForkError:
+            # The fork call rolled back: close the buffer it opened, or
+            # the next rewrite could never start.
+            self.aof.abort_rewrite()
+            raise
         return self._active_job
 
     def snapshot_worker(self) -> SnapshotJob:

@@ -6,15 +6,16 @@ A deliberately simple but complete binary format::
 
 The *content* matters to tests (the child must serialize exactly the
 fork-time state); the *size* matters to the timing tier (persist duration
-= bytes / disk bandwidth).
+= bytes / disk bandwidth).  A written file knows its size when it is
+closed; it joins its bytes and computes its digest only when a reader
+(recovery, ``DUMP``, a byte check) asks, so persisting a snapshot costs
+neither (:class:`SnapshotFile`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -24,24 +25,56 @@ from repro.errors import CorruptSnapshotError
 MAGIC = b"SRDB"
 _pack_u32 = struct.Struct("<I").pack
 _first, _second = itemgetter(0), itemgetter(1)
+#: A written file's digest before anyone has asked for it.
+_PENDING = object()
 
 
 def _digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-@dataclass
 class SnapshotFile:
-    """An RDB-like snapshot image plus bookkeeping."""
+    """An RDB-like snapshot image plus bookkeeping.
 
-    payload: bytes = b""
-    entry_count: int = 0
-    meta: dict = field(default_factory=dict)
+    A file from :meth:`Writer.close` holds the parts the writer packed.
+    :attr:`payload` joins them on first read and drops them, and
+    :attr:`digest` hashes those original bytes on first need, so a
+    snapshot nobody reads is never joined or hashed.  A hand-built file
+    (``SnapshotFile(payload=...)``) has no digest unless one is given.
+    A file never changes its payload: damage makes a new file that
+    carries the original's digest (:func:`repro.faults.corrupt_snapshot`).
+    """
+
+    __slots__ = ("_parts", "_payload", "_digest", "size", "entry_count")
+
+    def __init__(
+        self,
+        payload: bytes = b"",
+        entry_count: int = 0,
+        digest: Optional[str] = None,
+    ) -> None:
+        self._parts: Optional[list[bytes]] = None
+        self._payload = payload
+        self._digest = digest
+        #: Bytes the child wrote to disk.
+        self.size = len(payload)
+        self.entry_count = entry_count
 
     @property
-    def size(self) -> int:
-        """Bytes the child wrote to disk."""
-        return len(self.payload)
+    def payload(self) -> bytes:
+        """The file's bytes, joined from the writer's parts on first read."""
+        if self._parts is not None:
+            self._payload = b"".join(self._parts)
+            self._parts = None
+        return self._payload
+
+    @property
+    def digest(self) -> Optional[str]:
+        """blake2b of the bytes the writer packed (``None`` for a
+        hand-built file), computed on first need."""
+        if self._digest is _PENDING:
+            self._digest = _digest(self.payload)
+        return self._digest
 
 
 class Writer:
@@ -51,35 +84,29 @@ class Writer:
     it one byte-budgeted slice per served command (DESIGN.md §15).  Both
     produce the same payload and digest.
 
-    Entries are packed as parts (length prefixes, keys, values) and the
-    payload is joined once, at :meth:`close`.  Given the entry count up
-    front, the header is final before any entry arrives, so every
-    :meth:`write` feeds the digest with the parts it packed and the
-    close has only the join left.  Without a count (a stream of unknown
-    length) the header is filled in at close and the digest covers the
-    joined payload there, through a memoryview: no extra copy.
+    Entries are packed as parts (length prefixes, keys, values), and
+    :meth:`close` hands the parts and their size to the file without
+    joining or hashing them: the file does both only when a reader asks
+    (:class:`SnapshotFile`).  Given the entry count up front, the header
+    is final before any entry arrives; without one (a stream of unknown
+    length) it is filled in at close.
     """
 
     def __init__(self, count: Optional[int] = None) -> None:
         self.count = count
         self._parts: list[bytes] = [MAGIC, b""]
-        self._hash = hashlib.blake2b(digest_size=16)
-        #: Payload bytes already fed to the digest.
-        self._hashed = 0
         self.entry_count = 0
         #: Payload bytes packed so far (header included).
         self.size = 8
         if count is not None:
             self._parts[1] = _pack_u32(count)
-            self._hash.update(MAGIC + self._parts[1])
-            self._hashed = 8
 
     def write(self, entries: Iterable[tuple[bytes, bytes]]) -> int:
         """Pack (key, value) pairs; returns the payload bytes they took."""
         batch = tuple(entries)
         keys = tuple(map(_first, batch))
         values = tuple(map(_second, batch))
-        packed = chain.from_iterable(
+        self._parts += chain.from_iterable(
             zip(
                 map(_pack_u32, map(len, keys)),
                 keys,
@@ -88,17 +115,12 @@ class Writer:
             )
         )
         nbytes = 8 * len(keys) + sum(map(len, keys)) + sum(map(len, values))
-        start = len(self._parts)
-        self._parts += packed
-        if self.count is not None:
-            deque(map(self._hash.update, self._parts[start:]), maxlen=0)
-            self._hashed += nbytes
         self.entry_count += len(keys)
         self.size += nbytes
         return nbytes
 
     def close(self) -> SnapshotFile:
-        """Join the payload once and seal it with its digest."""
+        """Seal the header and hand the packed parts to the file."""
         if self.count is None:
             self._parts[1] = _pack_u32(self.entry_count)
         elif self.entry_count != self.count:
@@ -106,14 +128,10 @@ class Writer:
                 f"snapshot header promises {self.count} entries, "
                 f"{self.entry_count} were written"
             )
-        payload = b"".join(self._parts)
+        snapshot = SnapshotFile(entry_count=self.entry_count, digest=_PENDING)
+        snapshot._parts, snapshot.size = self._parts, self.size
         self._parts = []
-        self._hash.update(memoryview(payload)[self._hashed :])
-        return SnapshotFile(
-            payload=payload,
-            entry_count=self.entry_count,
-            meta={"digest": self._hash.hexdigest()},
-        )
+        return snapshot
 
 
 def dump(entries: Iterable[tuple[bytes, bytes]]) -> SnapshotFile:
@@ -124,16 +142,17 @@ def dump(entries: Iterable[tuple[bytes, bytes]]) -> SnapshotFile:
 
 
 def verify(snapshot: SnapshotFile) -> None:
-    """Check the payload against the digest recorded at dump time.
+    """Hash the payload and check it against the file's digest.
 
-    Raises :class:`~repro.errors.CorruptSnapshotError` on a mismatch
-    (bit-rot, truncation).  Snapshots without a recorded digest —
-    hand-built test fixtures — are only magic-checked.
+    Every call hashes the payload it checks.  Raises
+    :class:`~repro.errors.CorruptSnapshotError` on a mismatch (bit-rot,
+    truncation).  Snapshots without a digest — hand-built test fixtures
+    — are only magic-checked.
     """
     payload = snapshot.payload
     if payload[:4] != MAGIC:
         raise CorruptSnapshotError("not a snapshot file")
-    expected = snapshot.meta.get("digest")
+    expected = snapshot.digest
     if expected is not None and _digest(payload) != expected:
         raise CorruptSnapshotError(
             "snapshot payload does not match its recorded digest"

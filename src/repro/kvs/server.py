@@ -478,6 +478,11 @@ class CommandServer:
             self.engine.bgsave()
         except SnapshotInProgressError:
             raise RespError("ERR Background save already in progress")
+        except ForkError as exc:
+            # As serverCron's save point: the fork call rolled back.
+            self._failed_jobs += 1
+            self._last_bgsave_status = "err"
+            raise RespError(f"ERR Background save failed: {exc}")
         return resp.SimpleString(b"Background saving started")
 
     def _bgrewriteaof(self, args) -> RespValue:
@@ -488,6 +493,9 @@ class CommandServer:
             self.engine.bgrewriteaof()
         except SnapshotInProgressError:
             raise RespError("ERR Background job already in progress")
+        except ForkError as exc:
+            self._failed_jobs += 1
+            raise RespError(f"ERR Background AOF rewrite failed: {exc}")
         return resp.SimpleString(b"Background append only file "
                                  b"rewriting started")
 

@@ -10,6 +10,7 @@ after a fork, and (under Async-fork) proactive synchronizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.mem.address_space import AddressSpace, table_run_bounds
 from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 _PAGE_MASK = ~(PAGE_SIZE - 1)
+_vaddr, _length = attrgetter("vaddr"), attrgetter("length")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,27 @@ class KvStore:
         The plan (pages in first-touch order, each page's last touch) is
         built with numpy when this is called, not on the first item.
         """
-        items = list((self._table if table is None else table).items())
-        order, is_last, key_start = _plan_pages(items)
+        return self.sized_items_from(mm, table, chunk_pages)[1]
+
+    def sized_items_from(
+        self,
+        mm: AddressSpace,
+        table: Optional[dict[bytes, ValueRef]] = None,
+        chunk_pages: Optional[int] = None,
+    ) -> tuple[np.ndarray, Iterator[tuple[bytes, bytes]]]:
+        """:meth:`items_from`, plus every value's length in walk order.
+
+        The lengths come from the one pass over the key table that plans
+        the walk, before any value is read; a sliced BGSAVE sizes its
+        slices with them.
+        """
+        if table is None:
+            table = self._table
+        count = len(table)
+        keys = list(table)
+        vaddr = np.fromiter(map(_vaddr, table.values()), np.int64, count)
+        length = np.fromiter(map(_length, table.values()), np.int64, count)
+        order, is_last, key_start = _plan_pages(vaddr, length)
         bounds = table_run_bounds(order)
         if chunk_pages is not None:
             bounds = [
@@ -135,7 +156,10 @@ class KvStore:
                 for cut in range(lo, hi, chunk_pages)
             ] + [len(order)]
         runs = (order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        return _walk(items, key_start, is_last, runs, mm)
+        walk = _walk(
+            keys, vaddr.tolist(), length.tolist(), key_start, is_last, runs, mm
+        )
+        return length, walk
 
     def table_snapshot(self) -> dict[bytes, ValueRef]:
         """Shallow copy of the key table, as inherited by a forked child."""
@@ -147,18 +171,17 @@ class KvStore:
 
 
 def _plan_pages(
-    items: list[tuple[bytes, ValueRef]],
+    vaddr: np.ndarray, length: np.ndarray
 ) -> tuple[list[int], list[bool], list[int]]:
     """The walk's page plan, built with numpy.
 
-    Key ``i`` touches the pages holding its value's bytes; an empty
-    value touches none.  Returns the pages in first-touch order; for
-    every touch, in walk order, whether it is the page's last; and the
-    index of each key's first touch.
+    Key ``i`` (value at ``vaddr[i]``, ``length[i]`` bytes) touches the
+    pages holding its value's bytes; an empty value touches none.
+    Returns the pages in first-touch order; for every touch, in walk
+    order, whether it is the page's last; and the index of each key's
+    first touch.
     """
-    n = len(items)
-    vaddr = np.array([ref.vaddr for _, ref in items], dtype=np.int64)
-    length = np.array([ref.length for _, ref in items], dtype=np.int64)
+    n = len(vaddr)
     first = vaddr & _PAGE_MASK
     last = (vaddr + length - 1) & _PAGE_MASK
     span = np.where(length > 0, ((last - first) >> PAGE_SHIFT) + 1, 0)
@@ -183,7 +206,9 @@ def _plan_pages(
 
 
 def _walk(
-    items: list[tuple[bytes, ValueRef]],
+    keys: list[bytes],
+    vaddrs: list[int],
+    lengths: list[int],
     key_start: Iterable[int],
     is_last: list[bool],
     runs: Iterator[list[int]],
@@ -202,9 +227,8 @@ def _walk(
             del cache[page]
         return blob
 
-    for (key, ref), touch in zip(items, key_start):
-        here = ref.vaddr
-        end = here + ref.length
+    for key, here, length, touch in zip(keys, vaddrs, lengths, key_start):
+        end = here + length
         page = here & _PAGE_MASK
         if here < end <= page + PAGE_SIZE:  # the common one-page value
             yield key, page_bytes(page, touch)[here - page : end - page]

@@ -207,18 +207,11 @@ class SnapshotSupervisor:
         return None
 
     def _attempt(self, kind: str) -> Union[SnapshotReport, AppendOnlyFile]:
-        try:
-            job: ForkJob = (
-                self.engine.bgsave()
-                if kind == "snapshot"
-                else self.engine.bgrewriteaof()
-            )
-        except ForkError:
-            # §4.4 case 1: the fork call itself rolled back.  A rewrite
-            # already opened its buffer; drop it or the retry deadlocks.
-            if self.engine.aof is not None and self.engine.aof.rewriting:
-                self.engine.aof.abort_rewrite()
-            raise
+        job: ForkJob = (
+            self.engine.bgsave()
+            if kind == "snapshot"
+            else self.engine.bgrewriteaof()
+        )
         self._watch(job)
         return job.finish()
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.core.async_fork import AsyncFork
-from repro.errors import SnapshotInProgressError
+from repro.errors import SnapshotChildError, SnapshotInProgressError
 from repro.kernel.forks.default import DefaultFork
 from repro.kernel.forks.odf import OnDemandFork
 from repro.kvs import rdb
@@ -162,6 +162,23 @@ class TestBgrewriteaof:
         engine.set("k", b"v")
         engine.delete("k")
         assert replay(engine.aof.records) == {}
+
+    def test_finish_after_abort_raises_the_failure(self):
+        engine = make_engine(aof_enabled=True)
+        engine.set("k", b"v")
+        job = engine.bgrewriteaof()
+        job.abort(reason="watchdog-timeout")
+        assert job.failed
+        with pytest.raises(SnapshotChildError, match="watchdog-timeout"):
+            job.finish()
+        assert not engine.aof.rewriting
+
+    def test_finish_after_completion_returns_the_log(self):
+        engine = make_engine(aof_enabled=True)
+        engine.set("k", b"v")
+        job = engine.bgrewriteaof()
+        log = job.finish()
+        assert job.finish() is log
 
     def test_rewrite_blocks_concurrent_bgsave(self):
         engine = make_engine(aof_enabled=True)

@@ -11,6 +11,8 @@ from repro.kvs.engine import KvEngine
 from repro.kvs.resp import RespError, SimpleString, encode_command
 from repro.kvs.server import DEFAULT_SAVE_POINTS, CommandServer, SavePoint
 from repro.units import MSEC, SEC
+from tests.faults.frame_faults import pte_table_failures
+from tests.kvs.test_server_cron import info_fields
 
 
 @pytest.fixture
@@ -151,6 +153,41 @@ class TestBackgroundJobs:
         assert b"rewriting started" in bytes(reply)
         log = server.finish_background_job()
         assert len(log) < 5 + 1
+
+
+class TestForkCallFailure:
+    """A fork call that rolls back (§4.4) is an error reply, counted as a
+    failed job, as serverCron's save-point branch already counts it."""
+
+    def _server(self) -> CommandServer:
+        engine = KvEngine(
+            fork_engine=AsyncFork(), config=EngineConfig(aof_enabled=True)
+        )
+        server = CommandServer(engine, save_points=())
+        send(server, "SET", "k", "v")
+        pte_table_failures(engine.frames)
+        return server
+
+    def test_bgsave_replies_an_error(self):
+        server = self._server()
+        reply = server.call([b"BGSAVE"])
+        assert isinstance(reply, RespError)
+        assert reply.message.startswith("ERR Background save failed")
+        assert "purpose=pgd" in reply.message
+        info = info_fields(server)
+        assert info["rdb_last_bgsave_status"] == "err"
+        assert info["failed_background_jobs"] == "1"
+        assert server.engine.active_job is None
+
+    def test_bgrewriteaof_replies_an_error_and_closes_its_buffer(self):
+        server = self._server()
+        reply = server.call([b"BGREWRITEAOF"])
+        assert isinstance(reply, RespError)
+        assert info_fields(server)["failed_background_jobs"] == "1"
+        assert not server.engine.aof.rewriting
+        server.engine.frames.attach_fault_plan(None)
+        assert b"rewriting started" in bytes(server.call([b"BGREWRITEAOF"]))
+        server.finish_background_job()
 
 
 class TestJobStartedOutsideTheServer:

@@ -9,7 +9,9 @@ until the reap.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -92,12 +94,34 @@ class TestWritesBetweenSlices:
 
         assert sliced.payload == reference.payload == one_shot.payload
         assert sliced.entry_count == reference.entry_count == len(table)
-        assert sliced.meta == reference.meta == one_shot.meta
+        assert sliced.digest == reference.digest == one_shot.digest
         slices = tracer.by_name("kvs.snapshot.slice")
-        # One planning step, the slices, one joining step.
+        # One planning step, the slices, one closing step.
         assert steps == len(slices) + 2
         assert sum(s.attrs["keys"] for s in slices) == len(table)
         assert sum(s.attrs["bytes"] for s in slices) == sliced.size - 8
+
+    def test_the_close_step_sizes_the_file_without_joining(self, fork_cls):
+        _, table, job = _forked(fork_cls)
+        tracemalloc.start()
+        try:
+            while not job.serialized:  # the last step closes
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                job.write_slice(BUDGET)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        snapshot = job.finish().file
+        size = 8 + sum(8 + len(key) + ref.length for key, ref in table.items())
+        # Size and count are known before anything reads the file.
+        assert snapshot.size == size
+        assert snapshot.entry_count == len(table)
+        assert peak - before < size // 20
+        assert len(snapshot.payload) == size
+        assert snapshot.digest == hashlib.blake2b(
+            snapshot.payload, digest_size=16
+        ).hexdigest()
 
     def test_a_slice_exceeds_the_budget_only_for_one_large_entry(
         self, fork_cls
@@ -164,7 +188,7 @@ class TestServerWhileSliced:
             next(probes)()
             ticks += 1
         assert ticks > 5
-        # Written and joined is not reaped: the next tick reaps, before
+        # Written and closed is not reaped: the next tick reaps, before
         # its command runs.
         assert server.engine.active_job is job
         fields = info_fields(server)

@@ -7,7 +7,7 @@ import pytest
 from repro.config import EngineConfig
 from repro.core.async_fork import AsyncFork
 from repro.core.policy import FORK_METHODS, make_fork_engine
-from repro.errors import WritesRefusedError
+from repro.errors import SnapshotChildError, WritesRefusedError
 from repro.faults import (
     SITE_AOF_FSYNC,
     SITE_CHILD_COPY,
@@ -135,6 +135,30 @@ class TestWatchdog:
         assert supervisor.counters.watchdog_kills == 1
         assert supervisor.counters.job_failures == {"watchdog-timeout": 1}
         assert engine.active_job is None
+
+
+    def test_hung_rewrite_child_is_killed_and_retried(self):
+        engine = make_engine()
+        plan = FaultPlan(seed=1)
+        plan.add(
+            FaultSpec(
+                site=SITE_CHILD_COPY, kind="hang", count=1, magnitude=10_000
+            )
+        )
+        supervisor = supervised(engine, plan, watchdog_steps=16)
+        jobs = []
+        fork = engine.bgrewriteaof
+        engine.bgrewriteaof = lambda: jobs.append(fork()) or jobs[-1]
+
+        log = supervisor.rewrite()
+
+        assert log is not None and not log.rewriting
+        assert supervisor.counters.job_failures == {"watchdog-timeout": 1}
+        killed, retried = jobs
+        # The killed job stays failed; only the retry produced the log.
+        with pytest.raises(SnapshotChildError, match="watchdog-timeout"):
+            killed.finish()
+        assert retried.finish() is log
 
 
 class TestDegradation:

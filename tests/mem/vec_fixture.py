@@ -156,7 +156,7 @@ def _run_scenario_body(tracer: obs.Tracer) -> dict:
         "async_child_oracle": _oracle_digest(child.mm),
         "default_child_oracle": _oracle_digest(grandchild.mm),
         "odf_child_oracle": _oracle_digest(odf_child.mm),
-        "rdb_digest": snapshot.meta["digest"],
+        "rdb_digest": snapshot.digest,
         "rdb_entries": snapshot.entry_count,
         "wss_before": wss_before,
         "wss_after": wss_after,

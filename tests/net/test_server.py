@@ -270,13 +270,13 @@ class TestCostEmulation:
         while sliced.engine.active_job is not None:
             sliced.handle([b"SET", b"key:%012d" % ticks, b"new"])
             ticks += 1
-        # 1.5 MB of values: a planning tick, several slices, a join
+        # 1.5 MB of values: a planning tick, several slices, a close
         # tick and the reap.
         assert ticks >= 1.5e6 // SNAPSHOT_SLICE_BYTES + 3
         want = twin.engine.save_now().file
         got = sliced.last_snapshot_report.file
         assert got.payload == want.payload
-        assert got.meta == want.meta
+        assert got.digest == want.digest
 
     def test_default_fork_stalls_wire_more_than_async(self):
         """The tentpole claim, at the bridge: one BGSAVE's kernel-busy
