@@ -144,15 +144,20 @@ def dump(entries: Iterable[tuple[bytes, bytes]]) -> SnapshotFile:
 def verify(snapshot: SnapshotFile) -> None:
     """Hash the payload and check it against the file's digest.
 
-    Every call hashes the payload it checks.  Raises
-    :class:`~repro.errors.CorruptSnapshotError` on a mismatch (bit-rot,
-    truncation).  Snapshots without a digest — hand-built test fixtures
-    — are only magic-checked.
+    Every call hashes the payload it checks.  A written file whose
+    digest nobody has asked for yet is hashed once: its digest is by
+    definition the hash of these same bytes, so that hash becomes the
+    digest.  Raises :class:`~repro.errors.CorruptSnapshotError` on a
+    mismatch (bit-rot, truncation).  Snapshots without a digest —
+    hand-built test fixtures — are only magic-checked.
     """
     payload = snapshot.payload
     if payload[:4] != MAGIC:
         raise CorruptSnapshotError("not a snapshot file")
-    expected = snapshot.digest
+    if snapshot._digest is _PENDING:
+        snapshot._digest = _digest(payload)
+        return
+    expected = snapshot._digest
     if expected is not None and _digest(payload) != expected:
         raise CorruptSnapshotError(
             "snapshot payload does not match its recorded digest"

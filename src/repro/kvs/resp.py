@@ -18,6 +18,7 @@ depth bombs and length bombs either yield values or raise
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Union
 
 CRLF = b"\r\n"
@@ -216,20 +217,36 @@ class Parser:
         for value in parser:
             ...
 
+    Parsing reads the buffered bytes from an offset, so a pipelined
+    batch costs the same per command however many commands it holds;
+    the consumed prefix is dropped once per feed (or once the buffer is
+    used up), not once per value.  A complete array of bulk strings —
+    every client request — takes a one-pass fast path
+    (:func:`_parse_bulk_array`); every other frame goes to the general
+    parser, which decides all errors and limits.
+
     Framing violations raise :class:`ProtocolError`; anything else
     escaping the parser is a bug (the fuzz tests enforce this).  After a
     protocol error the stream is unsalvageable — a server closes the
     connection, as Redis does.
     """
 
+    __slots__ = ("_data", "_pos", "values_parsed", "bytes_consumed")
+
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        #: Buffered bytes; everything before ``_pos`` is consumed.
+        self._data = b""
+        self._pos = 0
         self.values_parsed = 0
         self.bytes_consumed = 0
 
     def feed(self, data: bytes) -> None:
         """Append raw bytes from the wire."""
-        self._buffer.extend(data)
+        if self._pos < len(self._data):
+            self._data = self._data[self._pos:] + data
+        else:
+            self._data = bytes(data)
+        self._pos = 0
 
     def __iter__(self) -> Iterator:
         while True:
@@ -240,18 +257,26 @@ class Parser:
 
     def parse_one(self):
         """One complete value, or the :data:`INCOMPLETE` sentinel."""
-        result, consumed = _parse(bytes(self._buffer), 0, 0)
+        data, pos = self._data, self._pos
+        found = None
+        if data.startswith(b"*", pos):
+            found = _parse_bulk_array(data, pos)
+        elif pos >= len(data):
+            # Used up: release the batch before the next feed.
+            self._data, self._pos = b"", 0
+            return INCOMPLETE
+        result, end = found or _parse(data, pos, 0)
         if result is INCOMPLETE:
             return INCOMPLETE
-        del self._buffer[:consumed]
+        self._pos = end
         self.values_parsed += 1
-        self.bytes_consumed += consumed
+        self.bytes_consumed += end - pos
         return result
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete value."""
-        return len(self._buffer)
+        return len(self._data) - self._pos
 
 
 def _find_line(data: bytes, pos: int) -> Optional[tuple[bytes, int]]:
@@ -284,6 +309,42 @@ def _parse_length(header: bytes, what: str) -> int:
     if len(header) > _MAX_LENGTH_DIGITS:
         raise ProtocolError(f"bad {what} {header[:32]!r}")
     return _parse_int(header, what)
+
+
+#: A request's headers: ``*<count>`` and ``$<length>``, plain digits.
+_ARRAY_HEADER = re.compile(rb"\*([0-9]{1,%d})\r\n" % _MAX_LENGTH_DIGITS)
+_BULK_HEADER = re.compile(rb"\$([0-9]{1,%d})\r\n" % _MAX_LENGTH_DIGITS)
+
+
+def _parse_bulk_array(data: bytes, pos: int) -> Optional[tuple[list, int]]:
+    """A complete ``*<n>`` array of ``$<len>`` bulks at ``pos``, in one scan.
+
+    Returns ``(items, end)`` exactly as :func:`_parse` would, or ``None``
+    for anything else — another element type, a header that is not plain
+    digits or is over a limit, ``*0``, a bad terminator, or input that is
+    not complete yet — which the caller hands to :func:`_parse`.
+    """
+    header = _ARRAY_HEADER.match(data, pos)
+    if header is None:
+        return None
+    count = int(header[1])
+    if not 0 < count <= MAX_MULTIBULK:
+        return None
+    items = []
+    append = items.append
+    match = _BULK_HEADER.match
+    pos = header.end()
+    for _ in range(count):
+        header = match(data, pos)
+        if header is None:
+            return None
+        start = header.end()
+        pos = start + int(header[1])
+        if pos - start > MAX_BULK_LEN or data[pos : pos + 2] != CRLF:
+            return None
+        append(data[start:pos])
+        pos += 2
+    return items, pos
 
 
 def _parse(data: bytes, pos: int, depth: int):

@@ -3,11 +3,16 @@
 One :class:`ReproServer` serves one :class:`~repro.kvs.server.
 CommandServer` backend (plain or sharded) from a single event loop —
 the same single-threaded serving model as Redis.  Each accepted
-connection gets a :class:`~repro.net.core.NetSession` and an incremental
-:class:`~repro.kvs.resp.Parser`; pipelined commands are
-dispatched in arrival order and their replies written back in one batch.
+connection gets one small :class:`asyncio.Protocol` (``_Connection``)
+holding a :class:`~repro.net.core.NetSession` and an incremental
+:class:`~repro.kvs.resp.Parser`.  Every chunk the socket delivers is
+parsed at once; its complete commands are dispatched in arrival order
+and their replies written back with one ``transport.write``.  When a
+client stops reading its replies and the transport's buffer fills up,
+the connection stops reading that client's requests until the buffer
+drains (backpressure by pausing reads).
 
-After every dispatched command the handler calls
+After every dispatched command the connection calls
 :meth:`~repro.net.bridge.ClockBridge.stall`, which *blocks* the event
 loop for the scaled duration of any simulated kernel-busy window the
 command incurred (a fork call, an ODF table fault, a proactive sync).
@@ -35,7 +40,9 @@ from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
 from repro.units import PAGES_PER_GIB
 
-READ_CHUNK = 64 * 1024
+#: How long :meth:`ReproServer.stop` lets closing connections flush
+#: their pending replies before it drops them.
+STOP_GRACE_S = 1.0
 
 #: Payload bytes a BGSAVE child serializes per served command.  The
 #: child shares the serving thread, so this is the extra work one
@@ -218,7 +225,7 @@ class ReproServer:
         self._proto_errors = self.metrics.counter("errors.protocol")
         self._next_conn_id = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
         self.shutdown_event = asyncio.Event()
         self._watchdog: Optional[threading.Timer] = None
         backend.on_command = self._on_command
@@ -231,8 +238,9 @@ class ReproServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port)."""
         self.bridge.install()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         if self.config.max_runtime_s > 0:
             self._watchdog = threading.Timer(
@@ -263,17 +271,23 @@ class ReproServer:
             self._watchdog = None
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            conn.transport.close()
+        if connections:
+            # A closing transport flushes its replies first; one whose
+            # peer never reads them is dropped after the grace period.
+            await asyncio.wait(
+                [conn.lost for conn in connections], timeout=STOP_GRACE_S
+            )
+            stuck = [conn for conn in connections if not conn.lost.done()]
+            for conn in stuck:
+                conn.transport.abort()
+            if stuck:
+                await asyncio.wait([conn.lost for conn in stuck])
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._writers):
-            writer.close()
-        # Give the connection handlers a chance to observe EOF and
-        # return; tasks still pending at loop teardown get cancelled
-        # mid-read and asyncio logs spurious CancelledErrors.
-        for _ in range(100):
-            if not self._writers:
-                break
-            await asyncio.sleep(0.01)
         self.bridge.uninstall()
 
     @staticmethod
@@ -312,89 +326,101 @@ class ReproServer:
 
         backend.info_extra = net_info
 
-    # ------------------------------------------------------------------
-    # per-connection handler
-    # ------------------------------------------------------------------
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._next_conn_id += 1
-        session = NetSession(
-            self.backend,
-            conn_id=self._next_conn_id,
-            wait_provider=self.wait_provider,
+class _Connection(asyncio.Protocol):
+    """One client connection: parse, dispatch, stall, reply."""
+
+    def __init__(self, server: ReproServer) -> None:
+        self.server = server
+        self.parser = Parser()
+        self.transport: Optional[asyncio.Transport] = None
+        self.session: Optional[NetSession] = None
+        self.start_sim_ns = 0
+        self.bytes_in = self.bytes_out = 0
+        #: Resolved by :meth:`connection_lost`.
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        server = self.server
+        server._next_conn_id += 1
+        self.transport = transport
+        self.session = NetSession(
+            server.backend,
+            conn_id=server._next_conn_id,
+            wait_provider=server.wait_provider,
         )
-        parser = Parser()
-        self._accepted.inc()
-        self._active.set(self._active.value + 1)
-        self._writers.add(writer)
-        start_sim_ns = self.backend.engine.clock.now
-        bytes_in = bytes_out = 0
+        self.start_sim_ns = server.backend.engine.clock.now
+        server._connections.add(self)
+        server._accepted.inc()
+        server._active.set(server._active.value + 1)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        session = self.session
+        self.bytes_in += len(data)
+        server._bytes_in.inc(len(data))
+        self.parser.feed(data)
+        replies = []
+        closing = False
         try:
-            while not self.shutdown_event.is_set():
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    break
-                bytes_in += len(data)
-                self._bytes_in.inc(len(data))
-                parser.feed(data)
-                out = bytearray()
-                closing = False
-                try:
-                    for command in parser:
-                        reply = session.dispatch(command)
-                        # The stall is synchronous on purpose: the
-                        # serving thread is "in the kernel", so every
-                        # connection on this loop waits it out.
-                        self.bridge.stall()
-                        out += encode(reply, session.proto)
-                except ProtocolError as exc:
-                    self._proto_errors.inc()
-                    out += encode(
-                        RespError(f"ERR Protocol error: {exc}"),
-                        session.proto,
-                    )
-                    closing = True
-                except SessionClosed as exc:
-                    if exc.reply is not None:
-                        out += encode(exc.reply, session.proto)
-                    closing = True
-                except ShutdownRequested:
-                    # Redis closes without a reply and exits; the smoke
-                    # harness treats the dropped connection + exit code
-                    # 0 as the clean-shutdown signal.
-                    self.shutdown_event.set()
-                    break
-                if out:
-                    bytes_out += len(out)
-                    self._bytes_out.inc(len(out))
-                    writer.write(bytes(out))
-                    await writer.drain()
-                if closing:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            self._active.set(self._active.value - 1)
-            self._closed.inc()
-            if obs.ACTIVE:
-                obs.emit(
-                    f"net.conn.{session.conn_id}",
-                    obs.CAT_NET,
-                    start_sim_ns,
-                    self.backend.engine.clock.now,
-                    commands=session.commands,
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                    proto=session.proto,
-                )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            for command in self.parser:
+                reply = session.dispatch(command)
+                # The stall is synchronous on purpose: the serving
+                # thread is "in the kernel", so every connection on this
+                # loop waits it out.
+                server.bridge.stall()
+                replies.append(encode(reply, session.proto))
+        except ProtocolError as exc:
+            server._proto_errors.inc()
+            replies.append(
+                encode(RespError(f"ERR Protocol error: {exc}"), session.proto)
+            )
+            closing = True
+        except SessionClosed as exc:
+            if exc.reply is not None:
+                replies.append(encode(exc.reply, session.proto))
+            closing = True
+        except ShutdownRequested:
+            # Redis closes without a reply and exits; the smoke harness
+            # treats the dropped connection + exit code 0 as the
+            # clean-shutdown signal.
+            server.shutdown_event.set()
+            self.transport.close()
+            return
+        if replies:
+            out = b"".join(replies)
+            self.bytes_out += len(out)
+            server._bytes_out.inc(len(out))
+            self.transport.write(out)
+        if closing:
+            self.transport.close()
+
+    # A client that does not read its replies stops being read from:
+    # the transport calls these as its write buffer crosses the high
+    # and low water marks.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        server = self.server
+        server._connections.discard(self)
+        server._active.set(server._active.value - 1)
+        server._closed.inc()
+        if obs.ACTIVE:
+            obs.emit(
+                f"net.conn.{self.session.conn_id}",
+                obs.CAT_NET,
+                self.start_sim_ns,
+                server.backend.engine.clock.now,
+                commands=self.session.commands,
+                bytes_in=self.bytes_in,
+                bytes_out=self.bytes_out,
+                proto=self.session.proto,
+            )
+        self.lost.set_result(None)
 
 
 def serve(

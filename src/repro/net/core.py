@@ -12,7 +12,7 @@ points, and the background-job lifecycle per dispatched command.
 
 Keeping the session free of asyncio makes it unit-testable byte-for-byte
 and reusable by any transport (the tests drive it directly; the app
-wraps it in a stream handler).
+gives each connection's ``asyncio.Protocol`` one session).
 """
 
 from __future__ import annotations

@@ -11,11 +11,13 @@ note).
 from __future__ import annotations
 
 import asyncio
+import socket
+import time
 
 import pytest
 
 from repro.core.policy import FORK_METHODS
-from repro.kvs.resp import RespError, SimpleString
+from repro.kvs.resp import RespError, SimpleString, encode, encode_command
 from repro.net.app import (
     SNAPSHOT_SLICE_BYTES,
     ReproServer,
@@ -236,6 +238,79 @@ class TestShutdown:
             assert await second.execute("PING") == SimpleString(b"PONG")
             await second.close()
             assert not server.shutdown_event.is_set()
+
+        serve_and_run(server, scenario)
+
+
+class TestBackpressure:
+    """A client that never reads its replies stops being read from."""
+
+    BIG = 64 * 1024
+    #: GETs of the large values sent first: ~6 MB of replies, more than
+    #: the socket buffers take, so the rest backs up in the server.
+    FIRST = 96
+    #: GETs of small values queued behind them.
+    MORE = 2000
+
+    def test_unread_replies_pause_reading_that_connection(self):
+        server = make_server()
+        values = {
+            **{b"big:%d" % i: bytes([65 + i]) * self.BIG for i in range(4)},
+            **{b"small:%d" % i: b"s%d" % i for i in range(8)},
+        }
+        keys = [b"big:%d" % (i % 4) for i in range(self.FIRST)]
+        keys += [b"small:%d" % (i % 8) for i in range(self.MORE)]
+        first = b"".join(encode_command("GET", k) for k in keys[: self.FIRST])
+        more = b"".join(encode_command("GET", k) for k in keys[self.FIRST :])
+        expected = b"".join(encode(values[k]) for k in keys)
+
+        async def scenario(host, port):
+            loop = asyncio.get_running_loop()
+            other = await AsyncRespClient.connect(host, port)
+            for key, value in values.items():
+                await other.execute("SET", key, value)
+            raw = socket.socket()
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            raw.setblocking(False)
+            try:
+                await loop.sock_connect(raw, (host, port))
+                bytes_in = server.metrics.get("bytes.in")
+                read_before = bytes_in.value
+                await loop.sock_sendall(raw, first)
+                await asyncio.sleep(0.2)
+                queued = len(first)
+                while queued < len(first) + len(more):
+                    try:
+                        queued += raw.send(more[queued - len(first) :])
+                    except BlockingIOError:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.2)
+                read = bytes_in.value - read_before
+                assert read <= len(first)
+                assert 4 * read < queued
+
+                started = time.perf_counter()
+                assert await asyncio.wait_for(
+                    other.execute("PING"), timeout=2.0
+                ) == SimpleString(b"PONG")
+                assert time.perf_counter() - started < 0.5
+
+                rest = asyncio.ensure_future(
+                    loop.sock_sendall(raw, more[queued - len(first) :])
+                )
+                received = bytearray()
+                while len(received) < len(expected):
+                    chunk = await asyncio.wait_for(
+                        loop.sock_recv(raw, 256 * 1024), timeout=5.0
+                    )
+                    assert chunk, "server closed the connection"
+                    received += chunk
+                await rest
+                assert received == expected
+            finally:
+                raw.close()
+            await other.close()
 
         serve_and_run(server, scenario)
 
