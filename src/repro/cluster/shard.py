@@ -19,7 +19,7 @@ from typing import Optional
 from repro.cluster.slots import NUM_SLOTS, SlotMap, command_keys, key_slot
 from repro.kvs.engine import KvEngine, SnapshotJob
 from repro.kvs.resp import OK, RespError, RespValue
-from repro.kvs.server import CommandServer, SavePoint
+from repro.kvs.server import CommandServer, SavePoint, command_name
 from repro.kvs.supervisor import SnapshotSupervisor
 from repro.obs import tracer as obs
 
@@ -41,6 +41,8 @@ class ShardedCommandServer(CommandServer):
     ASK only ever names a single slot).
     """
 
+    server_mode = b"cluster"
+
     def __init__(
         self,
         engine: KvEngine,
@@ -61,25 +63,24 @@ class ShardedCommandServer(CommandServer):
         self._asking = False
         self.ask_redirects_served = 0
         self.tryagain_served = 0
-        self._handlers[b"CLUSTER"] = self._cluster
         self._handlers[b"ASKING"] = self._asking_cmd
 
-    def handle(self, command) -> RespValue:
-        redirect = self._redirect_for(command)
+    def handle(self, command, name: Optional[bytes] = None) -> RespValue:
+        try:
+            if name is None:
+                name = command_name(command)
+            redirect = self._redirect_for(name, command[1:])
+        except RespError as err:
+            redirect = err
         if redirect is not None:
             # serverCron still runs on this event-loop iteration: a
             # bounced command must keep an in-flight child copy moving.
             self._background_cron()
             return redirect
-        return super().handle(command)
+        return super().handle(command, name)
 
-    def _redirect_for(self, command) -> Optional[RespError]:
-        if not isinstance(command, list) or not command:
-            return None
-        first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
-            return None
-        keys = command_keys(bytes(first), command[1:])
+    def _redirect_for(self, name: bytes, args) -> Optional[RespError]:
+        keys = command_keys(name, args)
         if not keys:
             return None
         asking, self._asking = self._asking, False

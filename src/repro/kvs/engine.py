@@ -557,23 +557,6 @@ class KvEngine:
             return False
         return self._expires.pop(normalized, None) is not None
 
-    def execute(self, command: str, *args):
-        """Tiny dispatcher for command-style access."""
-        op = command.upper()
-        if op == "SET":
-            return self.set(args[0], args[1])
-        if op == "GET":
-            return self.get(args[0])
-        if op == "DEL":
-            return self.delete(args[0])
-        if op == "BGSAVE":
-            return self.bgsave()
-        if op == "BGREWRITEAOF":
-            return self.bgrewriteaof()
-        if op == "DBSIZE":
-            return len(self.store)
-        raise ValueError(f"unknown command {command!r}")
-
     # -- persistence ----------------------------------------------------------
 
     def _fork_job(self, job_type: type, **job_args) -> ForkJob:

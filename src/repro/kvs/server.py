@@ -6,6 +6,8 @@ Ties the pieces into something shaped like a real Redis front end:
   the same hardened codec the live frontend (:mod:`repro.net`) uses
   (``feed``), and an in-process entry for callers in the same process
   (``call``: argv in, the parsed reply value out);
+* one check of each request's shape (:func:`command_name`), whose
+  result ``handle`` takes from callers that already made it;
 * a command table (strings subset + persistence + introspection);
 * the classic ``save <seconds> <changes>`` snapshot policy, evaluated
   against the simulated clock like Redis's serverCron;
@@ -39,6 +41,17 @@ from repro.units import MSEC, SEC
 _JOB_ERRORS = (DiskError, ForkError, KvsError)
 
 
+def command_name(command) -> bytes:
+    """The upper-cased name of one parsed request; anything but a
+    non-empty array led by a bulk string raises its error reply."""
+    if not isinstance(command, list) or not command:
+        raise RespError("ERR protocol: expected a command array")
+    first = command[0]
+    if not isinstance(first, (bytes, bytearray)):
+        raise RespError("ERR protocol: command name must be a string")
+    return bytes(first).upper()
+
+
 @dataclass(frozen=True)
 class SavePoint:
     """One ``save <seconds> <changes>`` rule."""
@@ -62,6 +75,9 @@ DEFAULT_SAVE_POINTS = (
 
 class CommandServer:
     """RESP front end for one engine."""
+
+    #: What ``HELLO`` reports as ``mode``.
+    server_mode = b"standalone"
 
     def __init__(
         self,
@@ -91,16 +107,9 @@ class CommandServer:
         #: background job retires — the cluster shard wires supervision
         #: and snapshot-window accounting through it.
         self.on_job_done: Optional[Callable] = None
-        #: Report of the most recent completed BGSAVE (cron may reap a
-        #: job between two commands, so callers need a place to find it).
-        self.last_snapshot_report = None
         #: Optional hook returning extra ``INFO`` fields; the
         #: replication layer attaches its role/offset/link section here.
         self.info_extra: Optional[Callable[[], dict]] = None
-        #: Optional observation hook ``fn(name, args)`` fired for every
-        #: dispatched command (after cron, before the handler) — the net
-        #: layer meters per-command wire traffic through it.
-        self.on_command: Optional[Callable] = None
         self._handlers: dict[bytes, Callable] = {
             b"PING": self._ping,
             b"ECHO": self._echo,
@@ -134,6 +143,7 @@ class CommandServer:
             b"LASTSAVE": self._lastsave,
             b"INFO": self._info,
             b"LATENCY": self._latency,
+            b"CLUSTER": self._cluster,
         }
 
     # ------------------------------------------------------------------
@@ -158,43 +168,23 @@ class CommandServer:
         """
         return resp.reply_value(self.handle(argv))
 
-    def handle(self, command) -> RespValue:
-        """Dispatch one parsed command array; returns the reply value."""
+    def handle(self, command, name: Optional[bytes] = None) -> RespValue:
+        """Dispatch one parsed command array; returns the reply value.
+
+        A caller that already took the request's :func:`command_name`
+        passes it as ``name``, so the request is not checked again.
+        """
         self._background_cron()
-        if not isinstance(command, list) or not command:
-            return RespError("ERR protocol: expected a command array")
-        first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
-            return RespError("ERR protocol: command name must be a string")
-        name = bytes(first).upper()
-        handler = self._handlers.get(name)
-        if self.on_command is not None:
-            self.on_command(name, command[1:])
-        if handler is None:
-            shown = name.decode("utf-8", errors="backslashreplace")
-            return RespError(f"ERR unknown command '{shown}'")
         try:
+            if name is None:
+                name = command_name(command)
+            handler = self._handlers.get(name)
+            if handler is None:
+                shown = name.decode("utf-8", errors="backslashreplace")
+                return RespError(f"ERR unknown command '{shown}'")
             return handler(command[1:])
         except RespError as err:
             return err
-
-    def register_handler(
-        self, name, handler: Callable, *, replace: bool = False
-    ) -> None:
-        """Add a command to the dispatch table.
-
-        ``name`` is case-insensitive; ``handler(args) -> RespValue``
-        follows the same contract as the built-in handlers (raise
-        :class:`~repro.kvs.resp.RespError` for client errors).  The net
-        layer and subclasses extend the table through this instead of
-        poking ``_handlers`` directly.
-        """
-        key = bytes(
-            name.encode() if isinstance(name, str) else name
-        ).upper()
-        if not replace and key in self._handlers:
-            raise ValueError(f"command {key.decode()!r} already registered")
-        self._handlers[key] = handler
 
     # ------------------------------------------------------------------
     # background machinery
@@ -267,7 +257,6 @@ class CommandServer:
         elif isinstance(job, SnapshotJob):
             self.completed_snapshots += 1
             self._last_save_ns = self.engine.clock.now
-            self.last_snapshot_report = job.report
         if self.on_job_done is not None:
             self.on_job_done(job, error)
 
@@ -537,6 +526,14 @@ class CommandServer:
         if sub == b"DOCTOR":
             return self.latency.doctor().encode()
         raise RespError(f"ERR unknown LATENCY subcommand {sub.decode()!r}")
+
+    def _cluster(self, args) -> RespValue:
+        """CLUSTER without cluster support: INFO answers, every other
+        subcommand is refused, as a non-cluster Redis does."""
+        if args and bytes(args[0]).upper() == b"INFO":
+            return (b"cluster_enabled:0\r\ncluster_state:ok\r\n"
+                    b"cluster_known_nodes:1\r\ncluster_size:0\r\n")
+        raise RespError("ERR This instance has cluster support disabled")
 
     def _info(self, args) -> RespValue:
         job = self.engine.active_job

@@ -7,10 +7,10 @@ connection gets one small :class:`asyncio.Protocol` (``_Connection``)
 holding a :class:`~repro.net.core.NetSession` and an incremental
 :class:`~repro.kvs.resp.Parser`.  Every chunk the socket delivers is
 parsed at once; its complete commands are dispatched in arrival order
-and their replies written back with one ``transport.write``.  When a
-client stops reading its replies and the transport's buffer fills up,
-the connection stops reading that client's requests until the buffer
-drains (backpressure by pausing reads).
+and their replies written back in ``WRITE_HIGH_WATER``-sized writes.
+When a client stops reading its replies and the transport's buffer
+passes that mark, the connection stops dispatching and reading until
+the buffer drains (backpressure).
 
 After every dispatched command the connection calls
 :meth:`~repro.net.bridge.ClockBridge.stall`, which *blocks* the event
@@ -43,6 +43,11 @@ from repro.units import PAGES_PER_GIB
 #: How long :meth:`ReproServer.stop` lets closing connections flush
 #: their pending replies before it drops them.
 STOP_GRACE_S = 1.0
+
+#: High-water mark of each connection's write buffer, and the reply
+#: bytes it batches per write: what a client that does not read its
+#: replies leaves queued stays near this, whatever one read delivered.
+WRITE_HIGH_WATER = 64 * 1024
 
 #: Payload bytes a BGSAVE child serializes per served command.  The
 #: child shares the serving thread, so this is the extra work one
@@ -228,7 +233,6 @@ class ReproServer:
         self._connections: set[_Connection] = set()
         self.shutdown_event = asyncio.Event()
         self._watchdog: Optional[threading.Timer] = None
-        backend.on_command = self._on_command
         self._chain_info(backend)
 
     # ------------------------------------------------------------------
@@ -301,9 +305,6 @@ class ReproServer:
     # observation
     # ------------------------------------------------------------------
 
-    def _on_command(self, name: bytes, args) -> None:
-        self._commands.inc()
-
     def _chain_info(self, backend: CommandServer) -> None:
         previous = backend.info_extra
 
@@ -337,6 +338,8 @@ class _Connection(asyncio.Protocol):
         self.session: Optional[NetSession] = None
         self.start_sim_ns = 0
         self.bytes_in = self.bytes_out = 0
+        #: Set while the write buffer is over its high-water mark.
+        self.paused = False
         #: Resolved by :meth:`connection_lost`.
         self.lost = asyncio.get_running_loop().create_future()
 
@@ -344,6 +347,7 @@ class _Connection(asyncio.Protocol):
         server = self.server
         server._next_conn_id += 1
         self.transport = transport
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
         self.session = NetSession(
             server.backend,
             conn_id=server._next_conn_id,
@@ -355,21 +359,35 @@ class _Connection(asyncio.Protocol):
         server._active.set(server._active.value + 1)
 
     def data_received(self, data: bytes) -> None:
+        self.bytes_in += len(data)
+        self.server._bytes_in.inc(len(data))
+        self.parser.feed(data)
+        self._serve()
+
+    def _serve(self) -> None:
+        """Dispatch the parsed commands in order and write their replies;
+        stop early if a write pauses the transport."""
         server = self.server
         session = self.session
-        self.bytes_in += len(data)
-        server._bytes_in.inc(len(data))
-        self.parser.feed(data)
         replies = []
+        pending = 0
         closing = False
         try:
             for command in self.parser:
+                server._commands.inc()
                 reply = session.dispatch(command)
                 # The stall is synchronous on purpose: the serving
                 # thread is "in the kernel", so every connection on this
                 # loop waits it out.
                 server.bridge.stall()
-                replies.append(encode(reply, session.proto))
+                out = encode(reply, session.proto)
+                replies.append(out)
+                pending += len(out)
+                if pending > WRITE_HIGH_WATER:
+                    self._write(replies)
+                    replies, pending = [], 0
+                    if self.paused:
+                        break
         except ProtocolError as exc:
             server._proto_errors.inc()
             replies.append(
@@ -388,21 +406,37 @@ class _Connection(asyncio.Protocol):
             self.transport.close()
             return
         if replies:
-            out = b"".join(replies)
-            self.bytes_out += len(out)
-            server._bytes_out.inc(len(out))
-            self.transport.write(out)
+            self._write(replies)
         if closing:
             self.transport.close()
 
-    # A client that does not read its replies stops being read from:
-    # the transport calls these as its write buffer crosses the high
-    # and low water marks.
+    def _write(self, replies: list) -> None:
+        out = b"".join(replies)
+        self.bytes_out += len(out)
+        self.server._bytes_out.inc(len(out))
+        self.transport.write(out)
+
+    # A client that does not read its replies stops being served: the
+    # transport calls these as its write buffer crosses the high and
+    # low water marks.
     def pause_writing(self) -> None:
+        self.paused = True
         self.transport.pause_reading()
 
     def resume_writing(self) -> None:
-        self.transport.resume_reading()
+        self.paused = False
+        # On the next loop turn: a QUIT among the leftovers closes the
+        # transport, and closing from inside the transport's own write
+        # callback would report the lost connection twice.
+        asyncio.get_running_loop().call_soon(self._resume)
+
+    def _resume(self) -> None:
+        """Serve the commands a pause left in the parser, then read."""
+        if self.paused or self.transport.is_closing():
+            return
+        self._serve()
+        if not self.paused:
+            self.transport.resume_reading()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         server = self.server

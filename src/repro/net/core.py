@@ -6,9 +6,11 @@ client's name, and the net-level command table — connection-scoped
 commands (``HELLO``/``AUTH``/``CLIENT``/``COMMAND``/``CONFIG``/
 ``SELECT``/``RESET``/``QUIT``/``WAIT``/``SHUTDOWN``) that a shared
 :class:`~repro.kvs.server.CommandServer` backend cannot answer because
-they are about *this connection*, not the keyspace.  Everything else
-passes through to the backend, which already runs serverCron, save
-points, and the background-job lifecycle per dispatched command.
+they are about *this connection*, not the keyspace.  The session checks
+and names each request once (:func:`~repro.kvs.server.command_name`),
+answers those commands without running serverCron, and passes
+everything else, with its name, to the backend, which runs serverCron,
+save points, and the background-job lifecycle per dispatched command.
 
 Keeping the session free of asyncio makes it unit-testable byte-for-byte
 and reusable by any transport (the tests drive it directly; the app
@@ -21,7 +23,7 @@ import fnmatch
 from typing import Callable, Optional
 
 from repro.kvs.resp import RespError, SimpleString
-from repro.kvs.server import CommandServer
+from repro.kvs.server import CommandServer, command_name
 
 OK = SimpleString(b"OK")
 
@@ -88,27 +90,15 @@ class NetSession:
         exceptions — the connection survives them.
         """
         self.commands += 1
-        if not isinstance(command, list) or not command:
-            return RespError("ERR protocol: expected a command array")
-        first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
-            return RespError("ERR protocol: command name must be a string")
-        name = bytes(first).upper()
-        handler = self._net_handlers.get(name)
-        if handler is not None:
-            try:
-                return handler([bytes(a) if isinstance(a, (bytes, bytearray))
-                                else a for a in command[1:]])
-            except RespError as err:
-                return err
-        if name == b"CLUSTER" and not self._backend_handles(b"CLUSTER"):
-            # Standalone passthrough: answer the one subcommand clients
-            # probe with, reject the rest like a non-cluster Redis.
-            return self._standalone_cluster(command[1:])
-        return self.backend.handle(command)
-
-    def _backend_handles(self, name: bytes) -> bool:
-        return name in getattr(self.backend, "_handlers", {})
+        try:
+            name = command_name(command)
+            handler = self._net_handlers.get(name)
+            if handler is None:
+                return self.backend.handle(command, name)
+            return handler([bytes(a) if isinstance(a, (bytes, bytearray))
+                            else a for a in command[1:]])
+        except RespError as err:
+            return err
 
     # ------------------------------------------------------------------
     # connection-scoped commands
@@ -148,8 +138,7 @@ class NetSession:
             b"version": SERVER_VERSION.encode(),
             b"proto": self.proto,
             b"id": self.conn_id,
-            b"mode": (b"cluster" if self._backend_handles(b"CLUSTER")
-                      else b"standalone"),
+            b"mode": self.backend.server_mode,
             b"role": b"master",
             b"modules": [],
         }
@@ -194,8 +183,7 @@ class NetSession:
             return []
         sub = bytes(args[0]).upper()
         if sub == b"COUNT":
-            handlers = getattr(self.backend, "_handlers", {})
-            return len(handlers) + len(self._net_handlers)
+            return len(self.backend._handlers) + len(self._net_handlers)
         if sub in (b"DOCS", b"INFO"):
             return {} if self.proto >= 3 else []
         raise RespError(f"ERR unknown COMMAND subcommand {sub.decode()!r}")
@@ -283,16 +271,3 @@ class NetSession:
                                           b"FORCE"):
                 raise RespError("ERR syntax error")
         raise ShutdownRequested()
-
-    def _standalone_cluster(self, args):
-        if args and bytes(args[0]).upper() == b"INFO":
-            fields = {
-                "cluster_enabled": 0,
-                "cluster_state": "ok",
-                "cluster_known_nodes": 1,
-                "cluster_size": 0,
-            }
-            return "".join(
-                f"{k}:{v}\r\n" for k, v in fields.items()
-            ).encode()
-        raise RespError("ERR This instance has cluster support disabled")

@@ -4,8 +4,8 @@
 CommandServer` so the PR 9 net layer (``NetSession``/``ReproServer``)
 serves it unchanged: ``repro-serve --proxy`` binds one TCP port whose
 backend fans out to a whole :class:`~repro.cluster.cluster.SimCluster`.
-The subclass keeps the base's wire interface (``feed``/``handle``,
-``on_command``, ``info_extra``) but replaces dispatch:
+The subclass keeps the base's wire interface (``feed``/``call``/
+``handle``, ``info_extra``) but replaces dispatch:
 
 * keyed commands route through :class:`~repro.proxy.core.ClusterProxy`
   (slot routing, MOVED/ASK following, per-tenant metering), so a live
@@ -13,8 +13,7 @@ The subclass keeps the base's wire interface (``feed``/``handle``,
 * ``BGSAVE``/``FLUSHALL`` broadcast to every shard and ``DBSIZE`` sums
   across them — the machine-wide reading a proxy client expects;
 * ``CLUSTER`` forwards to a healthy shard (the slot map is shared, any
-  shard answers) and stays in ``_handlers`` so sessions report
-  ``mode=cluster`` in ``HELLO``;
+  shard answers), and ``HELLO`` reports ``mode=cluster``;
 * ``PROXY`` exposes the tenancy/health/usage counters over the wire.
 
 The frontend's ``engine`` is shard 0's — shards share one simulated
@@ -23,6 +22,8 @@ needs to stall the event loop for any shard's kernel-busy window.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.cluster.slots import NUM_SLOTS
 from repro.errors import (
@@ -33,12 +34,14 @@ from repro.errors import (
 from repro.kvs import resp
 from repro.kvs.latency_monitor import LatencyMonitor
 from repro.kvs.resp import OK, RespError, RespValue
-from repro.kvs.server import CommandServer
+from repro.kvs.server import CommandServer, command_name
 from repro.proxy.core import ClusterProxy
 
 
 class ProxyFrontend(CommandServer):
     """A CommandServer whose keyspace is an entire cluster."""
+
+    server_mode = b"cluster"
 
     def __init__(self, proxy: ClusterProxy) -> None:
         # Shard 0's engine supplies the shared clock and AOF handle the
@@ -56,36 +59,28 @@ class ProxyFrontend(CommandServer):
             b"CLUSTER": self._forward_cluster,
             b"PROXY": self._proxy_admin,
         }
-        # Advertise CLUSTER so NetSession reports mode=cluster and does
-        # not shadow it with the standalone stub.
-        for name, handler in self._local.items():
-            self.register_handler(name, handler, replace=True)
+        # The table lists every command served (``COMMAND COUNT``).
+        self._handlers.update(self._local)
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
 
-    def handle(self, command) -> RespValue:
+    def handle(self, command, name: Optional[bytes] = None) -> RespValue:
         """Route one parsed command array through the proxy.
 
         ServerCron is *not* run here: every routed command reaches a
         shard through ``ShardedCommandServer.call``, which runs that
         shard's own cron (stepping its snapshot child cooperatively).
         """
-        if not isinstance(command, list) or not command:
-            return RespError("ERR protocol: expected a command array")
-        first = command[0]
-        if not isinstance(first, (bytes, bytearray)):
-            return RespError("ERR protocol: command name must be a string")
-        parts = [
-            bytes(p) if isinstance(p, (bytes, bytearray)) else p
-            for p in command
-        ]
-        name = parts[0].upper()
-        if self.on_command is not None:
-            self.on_command(name, parts[1:])
-        local = self._local.get(name)
         try:
+            if name is None:
+                name = command_name(command)
+            parts = [
+                bytes(p) if isinstance(p, (bytes, bytearray)) else p
+                for p in command
+            ]
+            local = self._local.get(name)
             if local is not None:
                 return local(parts[1:])
             reply = self.proxy.execute(*parts)

@@ -28,17 +28,6 @@ class TestCommands:
         assert engine.delete("k")
         assert engine.get("k") is None
 
-    def test_execute_dispatcher(self):
-        engine = make_engine()
-        engine.execute("SET", "k", b"v")
-        assert engine.execute("GET", "k") == b"v"
-        assert engine.execute("DBSIZE") == 1
-        assert engine.execute("DEL", "k")
-
-    def test_execute_unknown(self):
-        with pytest.raises(ValueError):
-            make_engine().execute("FLUSHALL")
-
     def test_commands_counted(self):
         engine = make_engine()
         engine.set("k", b"v")

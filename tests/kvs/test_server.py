@@ -99,12 +99,14 @@ class TestCommands:
 
 class TestBackgroundJobs:
     def test_bgsave_via_protocol(self, server):
+        reaped = []
+        server.on_job_done = lambda job, error: reaped.append(job.report)
         send(server, "SET", "k", "v")
         reply = send(server, "BGSAVE")
         assert b"Background saving started" in bytes(reply)
         send(server, "SET", "k", "mutated")
         # Cron may already have reaped the job cooperatively.
-        report = server.finish_background_job() or server.last_snapshot_report
+        report = server.finish_background_job() or reaped[0]
         from repro.kvs import rdb
 
         assert dict(rdb.load(report.file)) == {b"k": b"v"}
@@ -227,12 +229,15 @@ class TestJobStartedOutsideTheServer:
 
     def test_cron_reaps_it(self, busy):
         server, job = busy
+        retired = []
+        server.on_job_done = lambda *outcome: retired.append(outcome)
         for _ in range(10):
             send(server, "PING")
         assert server.engine.active_job is None
         assert job.done
         assert server.completed_snapshots == 1
-        assert server.last_snapshot_report is job.report
+        assert retired == [(job, None)]
+        assert job.report is not None
 
 
 class TestSavePolicy:

@@ -54,6 +54,8 @@ class TestCronLifecycle:
 
     def test_cron_bgsave_completes_without_manual_finish(self, server):
         engine = server.engine
+        reports = []
+        server.on_job_done = lambda job, error: reports.append(job.report)
         for i in range(6):
             send(server, "SET", f"k{i}", "v" * 64)
         assert server.engine.active_job is None  # not due yet (elapsed < 1 s)
@@ -67,8 +69,8 @@ class TestCronLifecycle:
         assert fields["rdb_bgsave_in_progress"] == "0"
         assert fields["completed_snapshots"] == "1"
         assert fields["rdb_last_bgsave_status"] == "ok"
-        assert server.last_snapshot_report is not None
-        assert server.last_snapshot_report.file.entry_count == 6
+        (report,) = reports
+        assert report.file.entry_count == 6
 
     def test_lastsave_advances_on_cron_completion(self, server):
         engine = server.engine

@@ -164,6 +164,8 @@ class TestServerWhileSliced:
         server = self._server(fork_cls)
         before = send(server, "LASTSAVE")
         server.engine.clock.advance(3 * SEC)
+        reaped = []
+        server.on_job_done = lambda job, error: reaped.append(job.report)
         assert send(server, "BGSAVE") == b"Background saving started"
         job = server.engine.active_job
 
@@ -196,7 +198,8 @@ class TestServerWhileSliced:
         assert fields["completed_snapshots"] == "1"
         assert fields["rdb_last_bgsave_status"] == "ok"
         assert send(server, "LASTSAVE") == before + 3
-        assert server.last_snapshot_report.file.entry_count == 122
+        (report,) = reaped
+        assert report.file.entry_count == 122
 
     def test_disk_error_at_the_reap_fails_the_save_cleanly(self):
         server = self._server()

@@ -147,6 +147,40 @@ class TestCommands:
 
         serve_and_run(server, scenario)
 
+    def test_info_counts_every_dispatched_command(self):
+        """``total_commands_processed`` counts connection-scoped
+        commands too, as Redis's ``stat_numcommands`` does."""
+        server = make_server()
+
+        async def scenario(host, port):
+            client = await AsyncRespClient.connect(host, port, proto=3)
+            assert await client.execute("CLIENT", "SETNAME", "counted") == (
+                SimpleString(b"OK")
+            )
+            assert await client.execute("PING") == SimpleString(b"PONG")
+            info = (await client.execute("INFO")).decode()
+            assert "total_commands_processed:4\r\n" in info
+            await client.close()
+
+        serve_and_run(server, scenario)
+
+    def test_standalone_cluster_replies_keep_connection(self):
+        server = make_server()
+
+        async def scenario(host, port):
+            client = await AsyncRespClient.connect(host, port)
+            reply = await client.execute("CLUSTER", "SLOTS", check=False)
+            assert isinstance(reply, RespError)
+            assert reply.message == (
+                "ERR This instance has cluster support disabled"
+            )
+            info = await client.execute("cluster", "info")
+            assert info.startswith(b"cluster_enabled:0\r\n")
+            assert await client.execute("PING") == SimpleString(b"PONG")
+            await client.close()
+
+        serve_and_run(server, scenario)
+
 
 class TestHello:
     def test_hello_3_switches_proto(self):
@@ -315,6 +349,91 @@ class TestBackpressure:
         serve_and_run(server, scenario)
 
 
+    def test_unread_replies_stay_bounded(self):
+        """One send of 500 GETs of a 64 KiB value that the client never
+        reads: the connection stops dispatching once its write buffer
+        passes the high-water mark instead of queueing ~32 MB of
+        replies, and serves the rest (here ending in a QUIT) once the
+        client reads."""
+        server = make_server()
+        count = 500
+        request = encode_command("GET", "big") * count
+        request += encode_command("QUIT")
+        expected = encode(b"v" * self.BIG) * count
+        expected += encode(SimpleString(b"OK"))
+
+        async def scenario(host, port):
+            loop = asyncio.get_running_loop()
+            other = await AsyncRespClient.connect(host, port)
+            await other.execute("SET", "big", b"v" * self.BIG)
+            raw = socket.socket()
+            raw.setblocking(False)
+            try:
+                await loop.sock_connect(raw, (host, port))
+                await loop.sock_sendall(raw, request)
+                await asyncio.sleep(0.3)
+                assert await other.execute("PING") == SimpleString(b"PONG")
+                (conn,) = [
+                    c for c in server._connections
+                    if c.transport.get_extra_info("peername")
+                    == raw.getsockname()
+                ]
+                assert conn.transport.get_write_buffer_size() < 1 << 20
+
+                received = bytearray()
+                while len(received) < len(expected):
+                    chunk = await asyncio.wait_for(
+                        loop.sock_recv(raw, 1 << 20), timeout=5.0
+                    )
+                    assert chunk, "server closed the connection"
+                    received += chunk
+                assert received == expected
+                assert await asyncio.wait_for(
+                    loop.sock_recv(raw, 1024), timeout=5.0
+                ) == b""
+            finally:
+                raw.close()
+            await other.close()
+
+        serve_and_run(server, scenario)
+
+    def test_quit_left_by_a_pause_closes_once(self):
+        """A QUIT that waited out a pause is served when the buffer
+        drains, and the connection closes cleanly (asyncio reports no
+        error from the transport)."""
+        server = make_server()
+        big = b"v" * (4 << 20)
+        request = encode_command("GET", "big") + encode_command("QUIT")
+        expected = encode(big) + encode(SimpleString(b"OK"))
+        loop_errors = []
+
+        async def scenario(host, port):
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, ctx: loop_errors.append(ctx))
+            other = await AsyncRespClient.connect(host, port)
+            await other.execute("SET", "big", big)
+            raw = socket.socket()
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            raw.setblocking(False)
+            try:
+                await loop.sock_connect(raw, (host, port))
+                await loop.sock_sendall(raw, request)
+                await asyncio.sleep(0.2)
+                received = bytearray()
+                while chunk := await asyncio.wait_for(
+                    loop.sock_recv(raw, 1 << 20), timeout=5.0
+                ):
+                    received += chunk
+                assert received == expected
+            finally:
+                raw.close()
+            await other.close()
+            await asyncio.sleep(0.05)
+
+        serve_and_run(server, scenario)
+        assert loop_errors == []
+
+
 class TestCostEmulation:
     def test_sim_size_scales_fork_costs(self):
         small = build_backend(
@@ -340,6 +459,8 @@ class TestCostEmulation:
                               value_size=1024)
         sliced, twin = build_backend(config), build_backend(config)
         assert sliced.snapshot_slice_bytes == SNAPSHOT_SLICE_BYTES
+        reaped = []
+        sliced.on_job_done = lambda job, error: reaped.append(job.report)
         sliced.handle([b"BGSAVE"])
         ticks = 0
         while sliced.engine.active_job is not None:
@@ -349,7 +470,8 @@ class TestCostEmulation:
         # tick and the reap.
         assert ticks >= 1.5e6 // SNAPSHOT_SLICE_BYTES + 3
         want = twin.engine.save_now().file
-        got = sliced.last_snapshot_report.file
+        (report,) = reaped
+        got = report.file
         assert got.payload == want.payload
         assert got.digest == want.digest
 
