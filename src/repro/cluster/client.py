@@ -91,17 +91,20 @@ class ClusterClient:
         self.slot_cache_refreshes = 0
         self.commands_sent = 0
 
-    def _target_for(self, name: bytes, args) -> int:
-        keys = command_keys(name, args, strict=True)
-        if not keys:
-            return 0  # keyless commands go to the first shard
-        return self._owner[key_slot(keys[0])]
-
     def execute(self, *command) -> ClusterReply:
         """Send one command; follow redirects; return the final reply."""
         parts = command_argv(command)
+        keys = command_keys(parts[0], parts[1:], strict=True)
+        return self.send_routed(parts, key_slot(keys[0]) if keys else None)
+
+    def send_routed(
+        self, parts: list[bytes], slot: Optional[int]
+    ) -> ClusterReply:
+        """:meth:`execute` for an argv already converted by
+        ``command_argv`` whose key slot the caller computed (``None``
+        for a keyless command, which goes to the first shard)."""
         size = command_size(parts)
-        shard_id = self._target_for(parts[0], parts[1:])
+        shard_id = 0 if slot is None else self._owner[slot]
         rtt_total = 0
         redirects = 0
         asking = False
@@ -131,7 +134,7 @@ class ClusterClient:
             # Last resort before giving up: the per-slot MOVED learning
             # may be chasing a stale map — re-bootstrap the whole cache.
             rtt_total += self.refresh_slot_cache(via=shard_id)
-            shard_id = self._target_for(parts[0], parts[1:])
+            shard_id = 0 if slot is None else self._owner[slot]
             asking = False
             refreshed = True
         raise TooManyRedirectsError(

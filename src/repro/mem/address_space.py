@@ -39,6 +39,7 @@ from repro.mem.flags import (
 from repro.mem.frames import FrameAllocator
 from repro.mem.hugepage import HUGE_PAGE_SIZE, HugePage, huge_base
 from repro.mem.page_table import PageTable
+from repro.mem.pte_table import PteTable
 from repro.mem.tlb import Tlb
 from repro.obs import tracer as obs
 from repro.obs.registry import CounterDict, MetricsRegistry
@@ -57,6 +58,14 @@ MMAP_BASE = 0x5555_0000_0000
 STACK_TOP = 0x7FFF_FF00_0000
 
 ZERO_FRAME = 0
+
+#: ``VmaProt`` bits as plain ints, tested against ``Vma.prot_bits``.
+_PROT_READ = int(VmaProt.READ)
+_PROT_WRITE = int(VmaProt.WRITE)
+_PAGE_MASK = ~(PAGE_SIZE - 1)
+#: ``handle_fault``'s "no slot given" default (``None`` is a real
+#: ``walk_pmd`` result: the path is absent).
+_WALK = object()
 
 _ACCESSED = np.uint64(PTE_ACCESSED)
 _PRESENT = np.uint64(PTE_PRESENT)
@@ -132,6 +141,8 @@ class AddressSpace:
                 "zapped": "mm.zapped",
             },
         )
+        self._faults = self.metrics.counter("mm.faults")
+        self._cow_copies = self.metrics.counter("mm.cow_copies")
         if hooks.MM_HOOKS:
             hooks.notify_mm_created(self)
 
@@ -147,8 +158,13 @@ class AddressSpace:
         vma: Optional[Vma] = None,
         write: bool = False,
         **detail,
-    ) -> CheckpointEvent:
-        """Fire a checkpoint *before* the corresponding modification."""
+    ) -> None:
+        """Fire a checkpoint *before* the corresponding modification.
+
+        With no subscriber nothing is built.
+        """
+        if not self.checkpoint_subscribers:
+            return
         event = CheckpointEvent(
             name=name,
             mm=self,
@@ -160,7 +176,6 @@ class AddressSpace:
         )
         for subscriber in list(self.checkpoint_subscribers):
             subscriber(event)
-        return event
 
     def subscribe(self, fn: CheckpointSubscriber) -> None:
         """Register a checkpoint subscriber (a fork session)."""
@@ -384,26 +399,39 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     @_user_path
-    def handle_fault(self, vaddr: int, write: bool) -> int:
+    def handle_fault(
+        self,
+        vaddr: int,
+        write: bool,
+        vma: Optional[Vma] = None,
+        slot=_WALK,
+    ) -> int:
         """Resolve a page fault at ``vaddr``; returns the mapped frame.
 
         Mirrors ``handle_mm_fault()``: fires the PMD-wide checkpoint first
         (letting an active Async-fork session proactively synchronize the
         covering PTE table, or an ODF session unshare it), then installs or
         CoW-copies the data page.
+
+        A caller that already looked up ``vaddr``'s VMA and walked to its
+        PMD slot (:meth:`PageTable.walk_pmd`) passes both, and the fault
+        reuses them.  The slot is read again only when a checkpoint
+        subscriber ran, since it may have replaced the leaf or cleared
+        the marker.
         """
-        vma = self.vmas.find(vaddr)
         if vma is None:
-            raise InvalidAddressError(f"fault at unmapped {vaddr:#x}")
-        needed = VmaProt.WRITE if write else VmaProt.READ
-        if not vma.prot & needed:
+            vma = self.vmas.find(vaddr)
+            if vma is None:
+                raise InvalidAddressError(f"fault at unmapped {vaddr:#x}")
+        if not vma.prot_bits & (_PROT_WRITE if write else _PROT_READ):
             raise ProtectionFaultError(
                 f"{'write' if write else 'read'} to {vaddr:#x} "
                 f"violates {vma.prot!r}"
             )
-        self.stats["faults"] += 1
-        page_lo = page_align_down(vaddr)
-        found = self.page_table.walk_pmd(vaddr)
+        self._faults.value += 1
+        page_lo = vaddr & _PAGE_MASK
+        page_table = self.page_table
+        found = page_table.walk_pmd(vaddr) if slot is _WALK else slot
         pmd_wp = found is not None and found[0].is_write_protected(found[1])
         if obs.ACTIVE:
             obs.emit_instant(
@@ -413,50 +441,48 @@ class AddressSpace:
                 write=write,
                 pmd_wp=pmd_wp,
             )
-        self.fire(
-            cp.HANDLE_MM_FAULT,
-            page_lo,
-            page_lo + PAGE_SIZE,
-            vma=vma,
-            write=write,
-            pmd_wp=pmd_wp,
-        )
+        if self.checkpoint_subscribers:
+            self.fire(
+                cp.HANDLE_MM_FAULT,
+                page_lo,
+                page_lo + PAGE_SIZE,
+                vma=vma,
+                write=write,
+                pmd_wp=pmd_wp,
+            )
+            found = page_table.walk_pmd(vaddr)
+            pmd_wp = found is not None and found[0].is_write_protected(
+                found[1]
+            )
         # A subscriber may have repaired the PMD; if the software marker
         # is still set with NO session subscribed, clear it — it is only
         # a leftover marker then.  With a live session the marker stays:
         # the session may have lost the trylock race (the holder will
         # finish the copy and clear it).
-        found = self.page_table.walk_pmd(vaddr)
-        if (
-            write
-            and not self.checkpoint_subscribers
-            and found is not None
-            and found[0].is_write_protected(found[1])
-        ):
+        if write and pmd_wp and not self.checkpoint_subscribers:
             found[0].set_write_protected(found[1], False)
 
-        leaf, pte = self.page_table.leaf_pte(found, vaddr)
+        leaf, pte = page_table.leaf_pte(found, vaddr)
         if not pte & PTE_PRESENT and pte & PTE_SWAP:
             # Swap-in: restore the page privately from the shared slot,
             # then resolve any pending CoW arm for write accesses.
-            frame = self._swap_in(vaddr, pte)
-            pte = self.page_table.get_pte(vaddr)
+            frame = self._swap_in(vaddr, pte, leaf)
+            pte = leaf.get(pte_index(vaddr))
             if write and not pte & PTE_RW:
-                return self._resolve_cow(vaddr, pte)
+                return self._resolve_cow(vaddr, pte, found, leaf)
             return frame
         if not pte & PTE_PRESENT and pte & PTE_SPECIAL:
             # NUMA hint fault: the frame is intact, re-establish PRESENT.
-            pte = self._restore_numa_hint(vaddr, pte)
+            pte = self._restore_numa_hint(vaddr, pte, leaf)
         if not pte & PTE_PRESENT:
-            return self._fault_in_page(vaddr, vma, write)
+            return self._fault_in_page(vaddr, write, found)
         if write and not pte & PTE_RW:
-            return self._resolve_cow(vaddr, pte)
-        assert leaf is not None
+            return self._resolve_cow(vaddr, pte, found, leaf)
         flags = PTE_ACCESSED | (PTE_DIRTY if write else 0)
         leaf.add_flags(pte_index(vaddr), flags)
         return pte >> PAGE_SHIFT
 
-    def _swap_in(self, vaddr: int, pte: int) -> int:
+    def _swap_in(self, vaddr: int, pte: int, leaf: PteTable) -> int:
         """Fault a swapped-out page back in from the shared swap space."""
         slot = pte_frame(pte)
         contents = self.frames.swap.load(slot)
@@ -465,47 +491,41 @@ class AddressSpace:
         if contents:
             self.frames.write(page.frame, 0, contents)
         flags = (pte & FLAGS_MASK | PTE_PRESENT) & ~PTE_SWAP
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
         leaf.set(pte_index(vaddr), make_pte(page.frame, flags))
         self.rss += 1
         self.tlb.flush_page(vaddr)
         return page.frame
 
-    def _restore_numa_hint(self, vaddr: int, pte: int) -> int:
+    def _restore_numa_hint(self, vaddr: int, pte: int, leaf: PteTable) -> int:
         """Undo a change_prot_numa poisoning for one PTE."""
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
         flags = (pte & FLAGS_MASK | PTE_PRESENT) & ~PTE_SPECIAL
         restored = make_pte(pte_frame(pte), flags)
         leaf.set(pte_index(vaddr), restored)
         return restored
 
-    def _fault_in_page(self, vaddr: int, vma: Vma, write: bool) -> int:
-        """First touch of an anonymous page."""
+    def _fault_in_page(self, vaddr: int, write: bool, found) -> int:
+        """First touch of an anonymous page (``found``: its PMD slot)."""
         if not write:
             # Read faults map the shared zero page read-only.
-            self.page_table.map(vaddr, ZERO_FRAME, PTE_ACCESSED)
+            self.page_table.map(vaddr, ZERO_FRAME, PTE_ACCESSED, found)
             return ZERO_FRAME
         page = self.frames.alloc("data")
         page.get()
-        flags = PTE_RW | PTE_ACCESSED | PTE_DIRTY
-        if not vma.prot & VmaProt.WRITE:  # pragma: no cover - guarded above
-            flags &= ~PTE_RW
-        self.page_table.map(vaddr, page.frame, flags)
+        self.page_table.map(
+            vaddr, page.frame, PTE_RW | PTE_ACCESSED | PTE_DIRTY, found
+        )
         self.rss += 1
         self.tlb.flush_page(vaddr)
         return page.frame
 
-    def _resolve_cow(self, vaddr: int, pte: int) -> int:
+    def _resolve_cow(self, vaddr: int, pte: int, found, leaf: PteTable) -> int:
         """Break copy-on-write for a write to a write-protected page."""
-        frame = pte_frame(pte)
+        frame = pte >> PAGE_SHIFT
+        index = pte_index(vaddr)
         if frame == ZERO_FRAME:
             # Upgrade the zero page to a private writable page.
-            self.page_table.clear_pte(vaddr)
-            vma = self.vmas.find(vaddr)
-            assert vma is not None
-            return self._fault_in_page(vaddr, vma, write=True)
+            leaf.clear(index)
+            return self._fault_in_page(vaddr, True, found)
         page = self.frames.page(frame)
         if page.mapcount > 1:
             new_page = self.frames.alloc("data")
@@ -513,19 +533,17 @@ class AddressSpace:
             self.frames.copy_contents(frame, new_page.frame)
             page.put()
             self.page_table.map(
-                vaddr, new_page.frame, PTE_RW | PTE_ACCESSED | PTE_DIRTY
+                vaddr, new_page.frame, PTE_RW | PTE_ACCESSED | PTE_DIRTY, found
             )
             self.tlb.flush_page(vaddr)
-            self.stats["cow_copies"] += 1
+            self._cow_copies.value += 1
             if obs.ACTIVE:
                 obs.emit_instant(
                     "mm.cow_copy", obs.CAT_MEM, owner=self.name
                 )
             return new_page.frame
         # Sole owner: reuse the page in place.
-        leaf = self.page_table.walk_pte_table(vaddr)
-        assert leaf is not None
-        leaf.add_flags(pte_index(vaddr), PTE_RW | PTE_ACCESSED | PTE_DIRTY)
+        leaf.add_flags(index, PTE_RW | PTE_ACCESSED | PTE_DIRTY)
         self.tlb.flush_page(vaddr)
         return frame
 
@@ -533,16 +551,9 @@ class AddressSpace:
     # huge pages (§3.2)
     # ------------------------------------------------------------------
 
-    def _huge_mapping(self, vaddr: int, write: bool):
-        """The huge page backing ``vaddr``, or None for regular VMAs."""
-        vma = self.vmas.find(vaddr)
-        if vma is None or vma.tag != "thp":
-            return None
-        return self._huge_fault(vaddr, vma, write)
-
-    def _huge_fault(self, vaddr: int, vma: Vma, write: bool):
-        needed = VmaProt.WRITE if write else VmaProt.READ
-        if not vma.prot & needed:
+    def _huge_fault(self, vaddr: int, vma: Vma, write: bool) -> HugePage:
+        """The huge page backing ``vaddr`` in the THP VMA ``vma``."""
+        if not vma.prot_bits & (_PROT_WRITE if write else _PROT_READ):
             raise ProtectionFaultError(
                 f"{'write' if write else 'read'} to huge page {vaddr:#x} "
                 f"violates {vma.prot!r}"
@@ -555,7 +566,7 @@ class AddressSpace:
         if hp is None:
             # First touch: fault in a whole 2 MiB page (the expensive
             # huge-page fault §3.2 quantifies).
-            self.stats["faults"] += 1
+            self._faults.value += 1
             self.fire(
                 cp.HANDLE_MM_FAULT, base, base + HUGE_PAGE_SIZE,
                 vma=vma, write=write, huge=True,
@@ -568,7 +579,7 @@ class AddressSpace:
             raise TypeError("thp VMA slot holds a PTE table")
         if write and pmd.is_write_protected(idx):
             # Huge CoW: one small write copies the whole 2 MiB.
-            self.stats["faults"] += 1
+            self._faults.value += 1
             self.fire(
                 cp.HANDLE_MM_FAULT, base, base + HUGE_PAGE_SIZE,
                 vma=vma, write=True, huge=True,
@@ -577,7 +588,7 @@ class AddressSpace:
                 hp.mapcount -= 1
                 hp = hp.copy()
                 pmd.set(idx, hp)
-                self.stats["cow_copies"] += 1
+                self._cow_copies.value += 1
             pmd.set_write_protected(idx, False)
             self._flush_tlb_range(base, base + HUGE_PAGE_SIZE)
         return hp
@@ -588,26 +599,37 @@ class AddressSpace:
 
     @_user_path
     def write_memory(self, vaddr: int, data: bytes) -> None:
-        """Store bytes at a virtual address, faulting pages in as needed."""
+        """Store bytes at a virtual address, faulting pages in as needed.
+
+        Each page-sized chunk costs one VMA lookup and one walk to its
+        PMD slot, which a fault reuses.  Writes walk the table, never
+        the TLB.
+        """
         offset = 0
-        while offset < len(data):
+        total = len(data)
+        find = self.vmas.find
+        while offset < total:
             here = vaddr + offset
-            hp = self._huge_mapping(here, write=True)
-            if hp is not None:
-                base = huge_base(here)
-                in_huge = here - base
-                chunk = min(len(data) - offset, HUGE_PAGE_SIZE - in_huge)
+            vma = find(here)
+            if vma is not None and vma.tag == "thp":
+                hp = self._huge_fault(here, vma, True)
+                in_huge = here - huge_base(here)
+                chunk = min(total - offset, HUGE_PAGE_SIZE - in_huge)
                 newly_resident = hp.resident_bytes == 0
                 hp.write(in_huge, data[offset : offset + chunk])
                 if newly_resident:
                     self.rss += HUGE_PAGE_SIZE // PAGE_SIZE
                 offset += chunk
                 continue
-            page_lo = page_align_down(here)
+            page_lo = here & _PAGE_MASK
             in_page = here - page_lo
-            chunk = min(len(data) - offset, PAGE_SIZE - in_page)
-            frame = self._writable_frame(here)
-            self.frames.write(frame, in_page, data[offset : offset + chunk])
+            chunk = min(total - offset, PAGE_SIZE - in_page)
+            frame = self._writable_frame(here, vma)
+            self.frames.write(
+                frame,
+                in_page,
+                data if chunk == total else data[offset : offset + chunk],
+            )
             self.tlb.insert(page_lo, frame, writable=True)
             offset += chunk
 
@@ -616,35 +638,38 @@ class AddressSpace:
         """Load bytes, using the TLB first — stale entries *will* be used.
 
         This faithful modelling of TLB semantics is what exposes the
-        shared-page-table leakage of Table 1.
+        shared-page-table leakage of Table 1.  Each chunk looks its VMA
+        up once; a fault reuses it and the walk's PMD slot.
         """
         parts: list[bytes] = []
         offset = 0
+        find = self.vmas.find
         while offset < length:
             here = vaddr + offset
-            hp = self._huge_mapping(here, write=False)
-            if hp is not None:
-                base = huge_base(here)
-                in_huge = here - base
+            vma = find(here)
+            if vma is not None and vma.tag == "thp":
+                hp = self._huge_fault(here, vma, False)
+                in_huge = here - huge_base(here)
                 chunk = min(length - offset, HUGE_PAGE_SIZE - in_huge)
                 parts.append(hp.read(in_huge, chunk))
                 offset += chunk
                 continue
-            page_lo = page_align_down(here)
+            page_lo = here & _PAGE_MASK
             in_page = here - page_lo
             chunk = min(length - offset, PAGE_SIZE - in_page)
             frame = self.tlb.lookup(page_lo)
             if frame is None:
-                leaf, pte = self.page_table.walk_pte(page_lo)
+                found = self.page_table.walk_pmd(page_lo)
+                leaf, pte = self.page_table.leaf_pte(found, page_lo)
                 if pte & PTE_PRESENT:
                     frame = pte >> PAGE_SHIFT
                     leaf.add_flags(pte_index(page_lo), PTE_ACCESSED)
                 else:
-                    frame = self.handle_fault(page_lo, write=False)
+                    frame = self.handle_fault(page_lo, False, vma, found)
                 self.tlb.insert(page_lo, frame)
             parts.append(self.frames.read(frame, in_page, chunk))
             offset += chunk
-        return b"".join(parts)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def read_pages(self, pages: Sequence[int]) -> list[bytes]:
         """Read the whole pages at page-aligned ``pages``, in list order.
@@ -739,8 +764,12 @@ class AddressSpace:
                 cached[pos:] = tlb.peek_many(run[pos:])
                 hit[pos:] = [frame is not None for frame in cached[pos:]]
 
-    def _writable_frame(self, vaddr: int) -> int:
-        """Frame for a write access, resolving faults if required."""
+    def _writable_frame(self, vaddr: int, vma: Optional[Vma] = None) -> int:
+        """Frame for a write access, resolving faults if required.
+
+        ``vma`` is ``vaddr``'s VMA when the caller has looked it up; the
+        fault reuses it and this walk's PMD slot.
+        """
         found = self.page_table.walk_pmd(vaddr)
         leaf, pte = self.page_table.leaf_pte(found, vaddr)
         if (
@@ -750,7 +779,7 @@ class AddressSpace:
         ):
             leaf.add_flags(pte_index(vaddr), PTE_ACCESSED | PTE_DIRTY)
             return pte >> PAGE_SHIFT
-        return self.handle_fault(vaddr, write=True)
+        return self.handle_fault(vaddr, True, vma, found)
 
     @_user_path
     def follow_page(self, vaddr: int) -> int:

@@ -1,8 +1,15 @@
 """Physical memory: frame allocation, contents, and failure injection.
 
 Frames are identified by integer frame numbers.  Contents are materialized
-lazily — only frames that are actually written get a backing ``bytearray`` —
-so functional tests can map large sparse regions cheaply.
+lazily — only frames that are actually written get a page image — so
+functional tests can map large sparse regions cheaply.
+
+A page image is an immutable ``bytes`` object of exactly one page, so
+frames may share one: the CoW copy (:meth:`FrameAllocator.copy_contents`)
+hands the destination the source's image, and whole-page reads return
+the stored image itself.  A write never mutates an image; it replaces
+the frame's image with a new one (a whole-page ``bytes`` argument is
+stored as it is), so no other frame and no earlier reader sees it.
 
 Failure injection drives the §4.4 error-handling paths: a fault plan
 (:mod:`repro.faults`) schedules ``oom`` faults against the
@@ -84,7 +91,8 @@ class FrameAllocator:
         self._pages: dict[int, PageStruct] = {}
         #: Map counts for every frame, shared with each PageStruct.
         self._mapcounts = MapCountStore()
-        self._contents: dict[int, bytearray] = {}
+        #: Page images (immutable, possibly shared between frames).
+        self._contents: dict[int, bytes] = {}
         #: Chaos plan injecting at the ``mem.frames.alloc`` site.
         self._fault_plan: Optional[FaultPlan] = None
         #: Unified metrics; ``alloc_count``/``free_count`` are views.
@@ -152,7 +160,7 @@ class FrameAllocator:
         page = PageStruct(frame=frame, counts=self._mapcounts)
         page.tags.add(purpose)
         self._pages[frame] = page
-        self.alloc_count += 1
+        self._alloc_count.value += 1
         return page
 
     def free(self, frame: int) -> None:
@@ -165,7 +173,7 @@ class FrameAllocator:
         self._contents.pop(frame, None)
         if self.reuse_freed:
             self._free_list.append(frame)
-        self.free_count += 1
+        self._free_count.value += 1
 
     def page(self, frame: int) -> PageStruct:
         """Metadata for an allocated frame."""
@@ -226,7 +234,10 @@ class FrameAllocator:
     # -- contents ------------------------------------------------------------
 
     def read(self, frame: int, offset: int = 0, length: int | None = None) -> bytes:
-        """Read bytes from a frame (zero-filled if never written)."""
+        """Read bytes from a frame (zero-filled if never written).
+
+        A whole-page read returns the stored image itself, not a copy.
+        """
         if frame != 0 and frame not in self._pages:
             raise KeyError(f"frame {frame} is not allocated")
         if hooks.ACCESS_HOOKS and frame != 0:
@@ -234,15 +245,15 @@ class FrameAllocator:
         if length is None:
             length = PAGE_SIZE - offset
         self._check_span(offset, length)
-        buf = self._contents.get(frame)
-        if buf is None:
-            return bytes(length)
-        return bytes(buf[offset : offset + length])
+        image = self._contents.get(frame, _ZERO_PAGE)
+        if length == PAGE_SIZE:
+            return image
+        return image[offset : offset + length]
 
     def read_frames(self, frames: list[int]) -> list[bytes]:
         """Whole-page reads of many frames, as :meth:`read` per frame."""
         pages = self._pages
-        contents = self._contents
+        get = self._contents.get
         notify = bool(hooks.ACCESS_HOOKS)
         out: list[bytes] = []
         for frame in frames:
@@ -251,34 +262,43 @@ class FrameAllocator:
                     raise KeyError(f"frame {frame} is not allocated")
                 if notify:
                     hooks.notify_access("read", "frame", frame)
-            buf = contents.get(frame)
-            out.append(_ZERO_PAGE if buf is None else bytes(buf))
+            out.append(get(frame, _ZERO_PAGE))
         return out
 
     def write(self, frame: int, offset: int, data: bytes) -> None:
-        """Write bytes into a frame, materializing its backing store."""
+        """Write bytes into a frame by replacing its page image.
+
+        A whole-page ``bytes`` argument becomes the image as it is; any
+        other whole-page buffer is copied once, and a partial write
+        builds one new image around the old one's other bytes.
+        """
         if frame == 0:
             raise ValueError("the zero page is immutable")
         if frame not in self._pages:
             raise KeyError(f"frame {frame} is not allocated")
         if hooks.ACCESS_HOOKS:
             hooks.notify_access("write", "frame", frame)
-        self._check_span(offset, len(data))
-        buf = self._contents.get(frame)
-        if buf is None:
-            buf = bytearray(PAGE_SIZE)
-            self._contents[frame] = buf
-        buf[offset : offset + len(data)] = data
+        length = len(data)
+        self._check_span(offset, length)
+        if length == PAGE_SIZE:
+            self._contents[frame] = (
+                data if type(data) is bytes else bytes(data)
+            )
+            return
+        old = self._contents.get(frame, _ZERO_PAGE)
+        self._contents[frame] = b"".join(
+            (old[:offset], data, old[offset + length :])
+        )
 
     def copy_contents(self, src: int, dst: int) -> None:
-        """Copy a whole frame (the CoW page copy)."""
+        """Copy a whole frame (the CoW page copy): share its image."""
         if hooks.ACCESS_HOOKS:
             if src != 0:
                 hooks.notify_access("read", "frame", src)
             hooks.notify_access("write", "frame", dst)
-        buf = self._contents.get(src)
-        if buf is not None:
-            self._contents[dst] = bytearray(buf)
+        image = self._contents.get(src)
+        if image is not None:
+            self._contents[dst] = image
         else:
             self._contents.pop(dst, None)
 

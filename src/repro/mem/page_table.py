@@ -90,7 +90,18 @@ class PageTable:
         self, vaddr: int, create: bool = False
     ) -> Optional[PteTable]:
         """Find (or create) the PTE leaf table covering ``vaddr``."""
-        found = self.walk_pmd(vaddr, create=create)
+        return self.slot_table(self.walk_pmd(vaddr, create=create), create)
+
+    def slot_table(
+        self,
+        found: Optional[tuple[DirectoryTable, int]],
+        create: bool = False,
+    ) -> Optional[PteTable]:
+        """:meth:`walk_pte_table` below an existing :meth:`walk_pmd` result.
+
+        With ``create`` an empty slot gets a new leaf table; ``found``
+        must then be a slot, not ``None``.
+        """
         if found is None:
             return None
         pmd, idx = found
@@ -104,19 +115,16 @@ class PageTable:
 
     # -- PTE access -----------------------------------------------------------
 
-    def walk_pte(self, vaddr: int) -> tuple[Optional[PteTable], int]:
-        """One walk: the leaf covering ``vaddr`` and its raw PTE.
+    def leaf_pte(
+        self, found: Optional[tuple[DirectoryTable, int]], vaddr: int
+    ) -> tuple[Optional[PteTable], int]:
+        """The leaf covering ``vaddr`` and its raw PTE, below an existing
+        :meth:`walk_pmd` result.
 
         Returns ``(None, 0)`` when no leaf table covers ``vaddr``.  Callers
         that go on to update the entry reuse the leaf instead of walking
         the tree again.
         """
-        return self.leaf_pte(self.walk_pmd(vaddr), vaddr)
-
-    def leaf_pte(
-        self, found: Optional[tuple[DirectoryTable, int]], vaddr: int
-    ) -> tuple[Optional[PteTable], int]:
-        """:meth:`walk_pte` below an existing :meth:`walk_pmd` result."""
         leaf = found[0].get(found[1]) if found is not None else None
         if leaf is None:
             return None, 0
@@ -130,7 +138,7 @@ class PageTable:
 
     def get_pte(self, vaddr: int) -> int:
         """Raw PTE value for ``vaddr`` (0 if unmapped)."""
-        return self.walk_pte(vaddr)[1]
+        return self.leaf_pte(self.walk_pmd(vaddr), vaddr)[1]
 
     def set_pte(self, vaddr: int, value: int) -> None:
         """Install a raw PTE value, allocating the path as needed."""
@@ -138,9 +146,24 @@ class PageTable:
         assert leaf is not None
         leaf.set(pte_index(vaddr), value)
 
-    def map(self, vaddr: int, frame: int, flags: int) -> None:
-        """Map ``vaddr`` to ``frame`` with ``flags`` (plus PRESENT)."""
-        self.set_pte(vaddr, make_pte(frame, int(flags) | PTE_PRESENT))
+    def map(
+        self,
+        vaddr: int,
+        frame: int,
+        flags: int,
+        slot: Optional[tuple[DirectoryTable, int]] = None,
+    ) -> None:
+        """Map ``vaddr`` to ``frame`` with ``flags`` (plus PRESENT).
+
+        ``slot`` is the :meth:`walk_pmd` result for ``vaddr`` when the
+        caller already has it; without one the path is walked (and
+        allocated) here.
+        """
+        if slot is None:
+            slot = self.walk_pmd(vaddr, create=True)
+        leaf = self.slot_table(slot, create=True)
+        assert leaf is not None
+        leaf.set(pte_index(vaddr), make_pte(frame, int(flags) | PTE_PRESENT))
 
     def clear_pte(self, vaddr: int) -> int:
         """Clear the PTE for ``vaddr``; return the old value."""

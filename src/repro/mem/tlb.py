@@ -17,7 +17,9 @@ from typing import Optional
 from repro.analysis import hooks
 from repro.obs import tracer as obs
 from repro.obs.registry import MetricsRegistry
-from repro.units import page_align_down
+from repro.units import PAGE_SIZE, page_align_down
+
+_PAGE_MASK = ~(PAGE_SIZE - 1)
 
 
 class Tlb:
@@ -70,7 +72,7 @@ class Tlb:
 
     def lookup(self, vaddr: int) -> Optional[int]:
         """Cached frame for the page of ``vaddr``, or ``None`` on miss."""
-        frame = self._entries.get(page_align_down(vaddr))
+        frame = self._entries.get(vaddr & _PAGE_MASK)
         if frame is None:
             self._misses.value += 1
         else:
@@ -93,7 +95,7 @@ class Tlb:
 
     def insert(self, vaddr: int, frame: int, writable: bool = False) -> None:
         """Cache a translation (called after a page-table walk)."""
-        page = page_align_down(vaddr)
+        page = vaddr & _PAGE_MASK
         self._entries[page] = frame
         if writable:
             self._writable.add(page)
@@ -112,10 +114,10 @@ class Tlb:
         """Invalidate the entry for one page (INVLPG)."""
         if hooks.EDGE_HOOKS:
             hooks.notify_edge("tlb-flush", None, self.owner)
-        page = page_align_down(vaddr)
+        page = vaddr & _PAGE_MASK
         self._entries.pop(page, None)
         self._writable.discard(page)
-        self.flushes += 1
+        self._flushes.value += 1
         if obs.ACTIVE:
             obs.emit_instant(
                 "tlb.flush_page", obs.CAT_TLB, owner=self.owner, page=page
@@ -154,8 +156,6 @@ class Tlb:
         order — including the per-page ``flushes`` accounting the range
         shootdown IPIs stand in for.
         """
-        from repro.units import PAGE_SIZE
-
         lo = page_align_down(lo)
         npages = (hi - lo + PAGE_SIZE - 1) // PAGE_SIZE
         if npages <= 0:
@@ -193,7 +193,7 @@ class Tlb:
         dropped = len(self._entries)
         self._entries.clear()
         self._writable.clear()
-        self.flushes += 1
+        self._flushes.value += 1
         if obs.ACTIVE:
             obs.emit_instant(
                 "tlb.flush_all",

@@ -87,7 +87,7 @@ class TwoWayPointer:
 class Vma:
     """One virtual memory area."""
 
-    __slots__ = ("start", "end", "prot", "peer", "tag")
+    __slots__ = ("start", "end", "_prot", "prot_bits", "peer", "tag")
 
     def __init__(
         self, start: int, end: int, prot: VmaProt, tag: str = "anon"
@@ -103,6 +103,18 @@ class Vma:
         self.peer: Optional[TwoWayPointer] = None
         #: Free-form label ('heap', 'stack', ...) used in reports.
         self.tag = tag
+
+    @property
+    def prot(self) -> VmaProt:
+        """Protection bits (``mprotect`` assigns them)."""
+        return self._prot
+
+    @prot.setter
+    def prot(self, prot: VmaProt) -> None:
+        self._prot = prot
+        #: ``prot`` as a plain int: the fault path tests permissions
+        #: without building a :class:`VmaProt` per access.
+        self.prot_bits = int(prot)
 
     @property
     def size(self) -> int:
@@ -159,7 +171,7 @@ class VmaList:
     def find(self, vaddr: int) -> Optional[Vma]:
         """VMA containing ``vaddr``, or ``None``."""
         for vma in self._vmas:
-            if vma.contains(vaddr):
+            if vma.start <= vaddr < vma.end:
                 return vma
         return None
 

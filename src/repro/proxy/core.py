@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.client import ClusterClient, ClusterReply
-from repro.cluster.slots import command_keys
+from repro.cluster.slots import command_keys, key_slot
 from repro.errors import NetworkPartitionError
 from repro.kvs.resp import RespError, command_argv
 from repro.metrics.usage import UsageMeter
@@ -201,15 +201,25 @@ class ClusterProxy:
     # routing
     # ------------------------------------------------------------------
 
-    def execute(self, *command) -> ClusterReply:
-        """Route one command; meter it under its tenant."""
-        parts = command_argv(command)
+    def execute(
+        self, *command, name: Optional[bytes] = None
+    ) -> ClusterReply:
+        """Route one command; meter it under its tenant.
+
+        A caller that already converted ``command`` with
+        ``command_argv`` and upper-cased its name (the proxy frontend)
+        passes the name; otherwise both are done here.
+        """
+        if name is None:
+            parts = command_argv(command)
+            name = parts[0].upper()
+        else:
+            parts = list(command)
         self._maybe_probe()
-        name = parts[0].upper()
         keys = command_keys(name, parts[1:], strict=True)
         if keys:
             tenant = self.tenant_for_key(keys[0])
-            reply = self.client.execute(*parts)
+            reply = self.client.send_routed(parts, key_slot(keys[0]))
         else:
             tenant = self._by_name.get("shared") or self.tenants[-1]
             reply = self.client.execute_on(self._pick_keyless(), *parts)

@@ -33,7 +33,7 @@ from repro.errors import (
 )
 from repro.kvs import resp
 from repro.kvs.latency_monitor import LatencyMonitor
-from repro.kvs.resp import OK, RespError, RespValue
+from repro.kvs.resp import OK, RespError, RespValue, command_argv
 from repro.kvs.server import CommandServer, command_name
 from repro.proxy.core import ClusterProxy
 
@@ -76,15 +76,15 @@ class ProxyFrontend(CommandServer):
         try:
             if name is None:
                 name = command_name(command)
-            parts = [
-                bytes(p) if isinstance(p, (bytes, bytearray)) else p
-                for p in command
-            ]
             local = self._local.get(name)
             if local is not None:
-                return local(parts[1:])
-            reply = self.proxy.execute(*parts)
-            return reply.value
+                return local([
+                    bytes(p) if isinstance(p, (bytes, bytearray)) else p
+                    for p in command[1:]
+                ])
+            return self.proxy.execute(
+                *command_argv(command), name=name
+            ).value
         except RespError as err:
             return err
         except UnroutableCommandError as exc:

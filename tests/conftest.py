@@ -5,11 +5,22 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.config import SimulationProfile
 from repro.kernel.task import Process
 from repro.mem.frames import FrameAllocator
 from repro.units import MIB
+
+#: Tier-1 runs the same examples every time: derandomized (seeded from
+#: each test, no example database), and a failure prints its blob.
+settings.register_profile("default", derandomize=True, print_blob=True)
+#: Exploration (``--hypothesis-profile=explore``, the nightly job): fresh
+#: random seeds and ten times the examples.
+settings.register_profile(
+    "explore", derandomize=False, max_examples=1000, print_blob=True
+)
+settings.load_profile("default")
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

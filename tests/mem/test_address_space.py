@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import AsyncForkConfig
+from repro.core.async_fork import AsyncFork
 from repro.errors import InvalidAddressError, ProtectionFaultError
 from repro.mem import checkpoints as cp
 from repro.mem.address_space import AddressSpace
 from repro.mem.flags import PteFlags, pte_present
-from repro.mem.vma import VmaProt
+from repro.mem.page_table import PageTable
+from repro.mem.vma import VmaList, VmaProt
 from repro.units import MIB, PAGE_SIZE
 
 
@@ -216,6 +219,95 @@ class TestCow:
         mm.page_table.write_protect_range(vma.start, vma.end)
         mm.write_memory(vma.start, b"new!")
         assert mm.page_table.translate(vma.start) == frame
+
+
+class TestWriteWork:
+    """One written page costs one PMD walk and one VMA lookup, whichever
+    way the write resolves (no checkpoint subscriber)."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"walk_pmd": 0, "find": 0}
+        walk_pmd, find = PageTable.walk_pmd, VmaList.find
+
+        def counted_walk(self, *args, **kwargs):
+            counts["walk_pmd"] += 1
+            return walk_pmd(self, *args, **kwargs)
+
+        def counted_find(self, *args, **kwargs):
+            counts["find"] += 1
+            return find(self, *args, **kwargs)
+
+        monkeypatch.setattr(PageTable, "walk_pmd", counted_walk)
+        monkeypatch.setattr(VmaList, "find", counted_find)
+        return counts
+
+    def _write_one(self, mm, work, vaddr):
+        work.update(walk_pmd=0, find=0)
+        faults, copies = mm.stats["faults"], mm.stats["cow_copies"]
+        mm.write_memory(vaddr, b"new!")
+        assert work == {"walk_pmd": 1, "find": 1}
+        assert mm.read_memory(vaddr, 4) == b"new!"
+        return mm.stats["faults"] - faults, mm.stats["cow_copies"] - copies
+
+    def test_first_touch_in_existing_table(self, mm, work):
+        vma = mm.mmap(MIB)
+        mm.write_memory(vma.start, b"orig")
+        assert self._write_one(mm, work, vma.start + PAGE_SIZE) == (1, 0)
+
+    def test_cow_copy(self, mm, frames, work):
+        vma = mm.mmap(MIB)
+        mm.write_memory(vma.start, b"orig")
+        frame = mm.page_table.translate(vma.start)
+        frames.page(frame).get()
+        mm.page_table.write_protect_range(vma.start, vma.end)
+        assert self._write_one(mm, work, vma.start) == (1, 1)
+        assert frames.read(frame, 0, 4) == b"orig"
+
+    def test_cow_reuse_by_sole_owner(self, mm, work):
+        vma = mm.mmap(MIB)
+        mm.write_memory(vma.start, b"orig")
+        frame = mm.page_table.translate(vma.start)
+        mm.page_table.write_protect_range(vma.start, vma.end)
+        assert self._write_one(mm, work, vma.start) == (1, 0)
+        assert mm.page_table.translate(vma.start) == frame
+
+    def test_zero_page_upgrade(self, mm, work):
+        vma = mm.mmap(MIB)
+        mm.read_memory(vma.start, 4)
+        assert mm.page_table.translate(vma.start) == 0
+        assert self._write_one(mm, work, vma.start) == (1, 0)
+        assert mm.page_table.translate(vma.start) != 0
+
+    def test_resident_writable_page(self, mm, work):
+        vma = mm.mmap(MIB)
+        mm.write_memory(vma.start, b"orig")
+        assert self._write_one(mm, work, vma.start) == (0, 0)
+
+    def test_async_fork_faults_fire_one_checkpoint_each(self, parent):
+        """With a session subscribed, each write fault fires exactly one
+        HANDLE_MM_FAULT carrying the PMD marker as the fault saw it."""
+        engine = AsyncFork(config=AsyncForkConfig())
+        engine.fork(parent)
+        mm = parent.mm
+        base = next(iter(mm.vmas)).start
+        seen = []
+        mm.subscribe(
+            lambda e: seen.append(
+                (e.start - base, e.end - base, e.write, e.detail["pmd_wp"])
+            )
+            if e.name == cp.HANDLE_MM_FAULT
+            else None
+        )
+        faults = mm.stats["faults"]
+        for offset in (0, 0, PAGE_SIZE, 2 * MIB, 2 * MIB + 8):
+            mm.write_memory(base + offset, b"w")
+        assert seen == [
+            (0, PAGE_SIZE, True, True),
+            (PAGE_SIZE, 2 * PAGE_SIZE, True, False),
+            (2 * MIB, 2 * MIB + PAGE_SIZE, True, True),
+        ]
+        assert mm.stats["faults"] - faults == len(seen)
 
 
 class TestFollowPage:

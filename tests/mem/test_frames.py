@@ -143,6 +143,39 @@ class TestContents:
         frames.copy_contents(src.frame, dst.frame)
         assert frames.read(dst.frame, 0, 5) == b"\x00" * 5
 
+    def test_copy_shares_image_but_writes_stay_private(self, frames):
+        """After the CoW copy, a partial write to either frame leaves
+        the other frame's bytes as they were."""
+        src, dst = frames.alloc(), frames.alloc()
+        frames.write(src.frame, 0, b"A" * PAGE_SIZE)
+        frames.copy_contents(src.frame, dst.frame)
+        frames.write(dst.frame, 10, b"dst")
+        assert frames.read(src.frame) == b"A" * PAGE_SIZE
+        frames.write(src.frame, 20, b"src")
+        assert frames.read(dst.frame) == (
+            b"A" * 10 + b"dst" + b"A" * (PAGE_SIZE - 13)
+        )
+        assert frames.read(src.frame, 18, 6) == b"AAsrcA"
+
+    def test_whole_page_buffer_mutated_later(self, frames):
+        page = frames.alloc()
+        buf = bytearray(b"x" * PAGE_SIZE)
+        frames.write(page.frame, 0, buf)
+        buf[:4] = b"MUT!"
+        assert frames.read(page.frame) == b"x" * PAGE_SIZE
+        view = memoryview(buf)
+        frames.write(page.frame, 0, view)
+        buf[:4] = b"again"[:4]
+        assert frames.read(page.frame, 0, 4) == b"MUT!"
+
+    def test_whole_page_reads_return_the_stored_image(self, frames):
+        page = frames.alloc()
+        data = bytes(range(256)) * (PAGE_SIZE // 256)
+        frames.write(page.frame, 0, data)
+        assert frames.read(page.frame) is data
+        assert frames.read_frames([page.frame, 0]) == [data, bytes(PAGE_SIZE)]
+        assert frames.read_frames([page.frame])[0] is data
+
     def test_free_drops_contents(self):
         frames = FrameAllocator(reuse_freed=True)
         page = frames.alloc()
