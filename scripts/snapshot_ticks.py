@@ -9,10 +9,12 @@ in flight.  Each of those commands is one serverCron tick, labelled by
 what the tick did for the child:
 
 * ``copy``: an Async-fork page-table copy step;
-* ``plan``: the last copy step (if any) plus planning the walk;
-* ``slice``: one byte-budgeted slice (``net.app.SNAPSHOT_SLICE_BYTES``);
-* ``close``: closing the writer (the file joins and hashes its payload
-  only when read, off the serving ticks);
+* ``plan``: the last copy step (if any) plus opening the keyspace walk
+  (each slice plans its own entries);
+* ``slice``: one byte-budgeted slice (``net.app.SNAPSHOT_SLICE_BYTES``):
+  plan its entries, read their pages, keep references;
+* ``close``: closing the writer (the file packs, joins and hashes its
+  payload only when read, off the serving ticks);
 * ``reap``: ``SnapshotJob.finish`` (persist, retire the child).
 
 It prints the median and max per label over the measured rounds (the

@@ -25,10 +25,7 @@ its ``latency`` monitor, as Redis's ``redisFork()`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.config import EngineConfig
 from repro.errors import (
@@ -45,7 +42,7 @@ from repro.kernel.task import Process
 from repro.kvs import aof as aof_mod
 from repro.kvs import rdb
 from repro.kvs.latency_monitor import LatencyMonitor
-from repro.kvs.store import KvStore, ValueRef
+from repro.kvs.store import KvStore, PageWalk, ValueRef
 from repro.mem.frames import FrameAllocator
 from repro.obs import tracer as obs
 from repro.sim.disk import DiskDevice
@@ -184,14 +181,11 @@ class SnapshotJob(ForkJob):
         #: back on a §4.4 rollback/abort so the save point re-fires.
         self._dirty_at_fork = dirty_at_fork
         #: Sliced serialization state (:meth:`write_slice`): the writer,
-        #: the rest of the child's keyspace walk, the payload offset at
-        #: which each entry ends, entries written, and the closed file
-        #: once every entry is in (still unjoined and unhashed: the file
-        #: does both when a reader asks).
+        #: the child's keyspace walk, and the closed file once every
+        #: entry is in (still unpacked: the file packs, joins and hashes
+        #: when a reader asks).
         self._writer: Optional[rdb.Writer] = None
-        self._entries: Optional[Iterator[tuple[bytes, bytes]]] = None
-        self._ends: Optional[np.ndarray] = None
-        self._written = 0
+        self._walk: Optional[PageWalk] = None
         self._snapshot: Optional[rdb.SnapshotFile] = None
 
     def abort(self, reason: Optional[str] = None) -> None:
@@ -199,7 +193,7 @@ class SnapshotJob(ForkJob):
         if self._dirty_at_fork and self.report is None:
             self.engine.store.dirty_since_save += self._dirty_at_fork
             self._dirty_at_fork = 0
-        self._writer = self._entries = self._snapshot = None
+        self._writer = self._walk = self._snapshot = None
         super().abort(reason=reason)
 
     @property
@@ -214,54 +208,46 @@ class SnapshotJob(ForkJob):
         The resumable form of :meth:`finish`'s serialization, for a
         server that must spend no more than about one slice's time per
         command on the child (the wire server, DESIGN.md §15).  The
-        first call plans: the keyspace walk's page plan and, from the
-        fork-time key table, every entry's size before its value is
-        read.  Each later call writes the entries that fit in ``budget``
-        payload bytes (more only when one entry alone is larger),
-        reading at most ``budget`` bytes of pages per ``read_pages``
-        call.  The call after the last entry closes the writer, which
-        hands its packed parts to the file without joining or hashing
-        them; then :attr:`serialized` is true and :meth:`finish` only
-        persists and retires.  Any failure aborts the job and re-raises.
+        first call waits out the child's copy and starts the keyspace
+        walk (:class:`~repro.kvs.store.PageWalk`), planning nothing yet.
+        Each later call hands the writer the entries that fit in
+        ``budget`` payload bytes (more only when one entry alone is
+        larger): the walk plans just those entries, reads the pages they
+        touch, at most ``budget`` bytes of pages per ``read_pages``
+        call, and the writer keeps the keys, the values' extents and the
+        page images, copying no value.  The call after the last entry
+        closes the writer; then :attr:`serialized` is true and
+        :meth:`finish` only persists and retires.  The file packs its
+        bytes when first read.  Any failure aborts the job and re-raises.
         """
         try:
             if self._writer is None:
                 self._drain_child()
-                self._plan_slices(budget)
+                self._walk = PageWalk(
+                    self.child.mm,
+                    self._table,
+                    chunk_pages=max(1, budget // PAGE_SIZE),
+                )
+                self._writer = rdb.Writer(len(self._table))
                 return 0
-            start = self._written
-            if start == len(self._ends):
+            if self._walk.done:
                 self._snapshot = self._writer.close()
                 return 0
-            base = int(self._ends[start - 1]) if start else 0
-            stop = int(
-                np.searchsorted(self._ends, base + budget, side="right")
-            )
-            stop = max(stop, start + 1)
-            nbytes = self._writer.write(islice(self._entries, stop - start))
+            before = self._writer.entry_count
+            nbytes = self._writer.write_from(self._walk, budget)
         except Exception:
             if not self.done:
                 self.abort(reason="serialize")
             raise
-        self._written = stop
         if obs.ACTIVE:
             obs.emit_instant(
                 "kvs.snapshot.slice",
                 obs.CAT_KVS,
                 self.engine.clock.now,
-                keys=stop - start,
+                keys=self._writer.entry_count - before,
                 bytes=nbytes,
             )
         return nbytes
-
-    def _plan_slices(self, budget: int) -> None:
-        table = self._table
-        value_sizes, self._entries = self.engine.store.sized_items_from(
-            self.child.mm, table, chunk_pages=max(1, budget // PAGE_SIZE)
-        )
-        key_sizes = np.fromiter(map(len, table), np.int64, len(table))
-        self._ends = np.cumsum(key_sizes + value_sizes + 8)
-        self._writer = rdb.Writer(len(table))
 
     def finish(self) -> SnapshotReport:
         """Complete the copy, serialize what is left, retire the child.
@@ -274,15 +260,13 @@ class SnapshotJob(ForkJob):
             return self.report
         if self._writer is None:
             self._drain_child()
-            snapshot = rdb.dump(
-                self.engine.store.items_from(self.child.mm, self._table)
-            )
+            snapshot = rdb.dump(PageWalk(self.child.mm, self._table))
         else:  # sliced: write what is left, if anything
             snapshot = self._snapshot
             if snapshot is None:
-                self._writer.write(self._entries)
+                self._writer.write_from(self._walk)
                 snapshot = self._writer.close()
-            self._writer = self._entries = self._snapshot = None
+            self._writer = self._walk = self._snapshot = None
         try:
             persist_ns = self.engine.disk.write(snapshot.size, what="rdb")
         except Exception:

@@ -6,10 +6,14 @@ A deliberately simple but complete binary format::
 
 The *content* matters to tests (the child must serialize exactly the
 fork-time state); the *size* matters to the timing tier (persist duration
-= bytes / disk bandwidth).  A written file knows its size when it is
-closed; it joins its bytes and computes its digest only when a reader
-(recovery, ``DUMP``, a byte check) asks, so persisting a snapshot costs
-neither (:class:`SnapshotFile`).
+= bytes / disk bandwidth).  A written file knows its size and entry
+count when it is closed, but packs, joins and hashes its bytes only when
+a reader (recovery, ``DUMP``, a byte check) asks, so persisting a
+snapshot costs none of that (:class:`SnapshotFile`).  A forked child's
+snapshot does not even copy its values: the writer keeps the keys, the
+values' extents and the child's immutable page images
+(:class:`~repro.kvs.store.PageWalk`), and the file cuts the values out
+of those images on first read.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ import hashlib
 import struct
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from repro.errors import CorruptSnapshotError
+from repro.kvs.store import PageWalk, page_values
 
 MAGIC = b"SRDB"
 _pack_u32 = struct.Struct("<I").pack
@@ -28,24 +35,53 @@ _first, _second = itemgetter(0), itemgetter(1)
 #: A written file's digest before anyone has asked for it.
 _PENDING = object()
 
+#: Entries a writer took from a :class:`~repro.kvs.store.PageWalk`:
+#: keys, value addresses, value lengths and the walk's page images.
+_Paged = tuple[list[bytes], np.ndarray, np.ndarray, dict[int, bytes]]
+#: What a writer holds per call: packed parts, or entries by reference.
+_Piece = Union[list[bytes], _Paged]
+
 
 def _digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
+def _pack(keys: list[bytes], values: list[bytes], lengths: list[int]):
+    """The parts of entries ``(keys[i], values[i])``, in payload order."""
+    return chain.from_iterable(
+        zip(
+            map(_pack_u32, map(len, keys)),
+            keys,
+            map(_pack_u32, lengths),
+            values,
+        )
+    )
+
+
+def _parts(piece: _Piece):
+    if type(piece) is list:
+        return piece
+    keys, starts, lengths, pages = piece
+    return _pack(keys, page_values(starts, lengths, pages), lengths.tolist())
+
+
 class SnapshotFile:
     """An RDB-like snapshot image plus bookkeeping.
 
-    A file from :meth:`Writer.close` holds the parts the writer packed.
-    :attr:`payload` joins them on first read and drops them, and
-    :attr:`digest` hashes those original bytes on first need, so a
-    snapshot nobody reads is never joined or hashed.  A hand-built file
+    A file from :meth:`Writer.close` holds what the writer kept: packed
+    parts and, for a child's keyspace walk, entries by reference (keys,
+    value extents and page images).  :attr:`payload` packs and joins
+    them on first read and drops them, and :attr:`digest` hashes those
+    bytes on first need, so a snapshot nobody reads is never packed or
+    hashed; :attr:`size` and :attr:`entry_count` are exact from the
+    start.  Page images are immutable, so a late first read still sees
+    the fork-time bytes.  A hand-built file
     (``SnapshotFile(payload=...)``) has no digest unless one is given.
     A file never changes its payload: damage makes a new file that
     carries the original's digest (:func:`repro.faults.corrupt_snapshot`).
     """
 
-    __slots__ = ("_parts", "_payload", "_digest", "size", "entry_count")
+    __slots__ = ("_pieces", "_payload", "_digest", "size", "entry_count")
 
     def __init__(
         self,
@@ -53,7 +89,7 @@ class SnapshotFile:
         entry_count: int = 0,
         digest: Optional[str] = None,
     ) -> None:
-        self._parts: Optional[list[bytes]] = None
+        self._pieces: Optional[list[_Piece]] = None
         self._payload = payload
         self._digest = digest
         #: Bytes the child wrote to disk.
@@ -62,82 +98,102 @@ class SnapshotFile:
 
     @property
     def payload(self) -> bytes:
-        """The file's bytes, joined from the writer's parts on first read."""
-        if self._parts is not None:
-            self._payload = b"".join(self._parts)
-            self._parts = None
+        """The file's bytes, packed and joined on first read."""
+        if self._pieces is not None:
+            payload = b"".join(chain.from_iterable(map(_parts, self._pieces)))
+            self._pieces = None
+            if len(payload) != self.size:
+                raise RuntimeError(
+                    f"packed {len(payload)} snapshot bytes, "
+                    f"the writer counted {self.size}"
+                )
+            self._payload = payload
         return self._payload
 
     @property
     def digest(self) -> Optional[str]:
-        """blake2b of the bytes the writer packed (``None`` for a
-        hand-built file), computed on first need."""
+        """blake2b of the file's bytes (``None`` for a hand-built file),
+        computed on first need."""
         if self._digest is _PENDING:
             self._digest = _digest(self.payload)
         return self._digest
 
 
 class Writer:
-    """One snapshot file, serialized over as many calls as the caller likes.
+    """One snapshot file, written over as many calls as the caller likes.
 
     :func:`dump` runs it in one call; the wire server's BGSAVE child runs
     it one byte-budgeted slice per served command (DESIGN.md §15).  Both
     produce the same payload and digest.
 
-    Entries are packed as parts (length prefixes, keys, values), and
-    :meth:`close` hands the parts and their size to the file without
-    joining or hashing them: the file does both only when a reader asks
-    (:class:`SnapshotFile`).  Given the entry count up front, the header
-    is final before any entry arrives; without one (a stream of unknown
-    length) it is filled in at close.
+    :meth:`write` packs (key, value) pairs into parts at once;
+    :meth:`write_from` takes a child's keyspace walk by reference and
+    packs nothing.  :meth:`close` hands what the writer holds and the
+    size it counted to the file, which packs, joins and hashes only when
+    a reader asks (:class:`SnapshotFile`).  Given the entry count up
+    front, the header is final before any entry arrives; without one (a
+    stream of unknown length) it is filled in at close.
     """
 
     def __init__(self, count: Optional[int] = None) -> None:
         self.count = count
-        self._parts: list[bytes] = [MAGIC, b""]
+        self._header = [MAGIC, b"" if count is None else _pack_u32(count)]
+        self._pieces: list[_Piece] = [self._header]
         self.entry_count = 0
-        #: Payload bytes packed so far (header included).
+        #: Payload bytes written so far (header included).
         self.size = 8
-        if count is not None:
-            self._parts[1] = _pack_u32(count)
 
     def write(self, entries: Iterable[tuple[bytes, bytes]]) -> int:
         """Pack (key, value) pairs; returns the payload bytes they took."""
         batch = tuple(entries)
-        keys = tuple(map(_first, batch))
-        values = tuple(map(_second, batch))
-        self._parts += chain.from_iterable(
-            zip(
-                map(_pack_u32, map(len, keys)),
-                keys,
-                map(_pack_u32, map(len, values)),
-                values,
-            )
-        )
-        nbytes = 8 * len(keys) + sum(map(len, keys)) + sum(map(len, values))
-        self.entry_count += len(keys)
+        keys = list(map(_first, batch))
+        values = list(map(_second, batch))
+        lengths = list(map(len, values))
+        self._pieces.append(list(_pack(keys, values, lengths)))
+        nbytes = 8 * len(keys) + sum(map(len, keys)) + sum(lengths)
+        return self._count(len(keys), nbytes)
+
+    def write_from(self, walk: PageWalk, budget: Optional[int] = None) -> int:
+        """Take the walk's next entries, up to ``budget`` payload bytes
+        (all that are left by default), by reference; returns the
+        payload bytes they took.  No value is copied: the cost is the
+        walk planning those entries and reading their pages."""
+        keys, starts, lengths, nbytes = walk.take(budget)
+        if keys:
+            self._pieces.append((keys, starts, lengths, walk.pages))
+        return self._count(len(keys), nbytes)
+
+    def _count(self, entries: int, nbytes: int) -> int:
+        self.entry_count += entries
         self.size += nbytes
         return nbytes
 
     def close(self) -> SnapshotFile:
-        """Seal the header and hand the packed parts to the file."""
+        """Seal the header and hand what the writer holds to the file."""
         if self.count is None:
-            self._parts[1] = _pack_u32(self.entry_count)
+            self._header[1] = _pack_u32(self.entry_count)
         elif self.entry_count != self.count:
             raise ValueError(
                 f"snapshot header promises {self.count} entries, "
                 f"{self.entry_count} were written"
             )
         snapshot = SnapshotFile(entry_count=self.entry_count, digest=_PENDING)
-        snapshot._parts, snapshot.size = self._parts, self.size
-        self._parts = []
+        snapshot._pieces, snapshot.size = self._pieces, self.size
+        self._pieces = []
         return snapshot
 
 
-def dump(entries: Iterable[tuple[bytes, bytes]]) -> SnapshotFile:
-    """Serialize (key, value) pairs into a snapshot file in one call."""
+def dump(
+    entries: Union[Iterable[tuple[bytes, bytes]], PageWalk],
+) -> SnapshotFile:
+    """Write a snapshot file in one call: from (key, value) pairs, or
+    from a child's keyspace walk, whose values stay on their pages until
+    the file is read."""
     writer = Writer()
-    writer.write(entries)
+    if isinstance(entries, PageWalk):
+        writer.write_from(entries)
+    else:
+        writer.write(entries)
     return writer.close()
 
 

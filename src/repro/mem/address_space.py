@@ -696,7 +696,7 @@ class AddressSpace:
         if hooks.ACCESS_HOOKS or hooks.EDGE_HOOKS:
             return [self.read_memory(page, PAGE_SIZE) for page in pages]
         pages = list(pages)
-        bounds = table_run_bounds(pages)
+        bounds = table_run_bounds(vaddrs)
         out: list[bytes] = []
         for lo, hi in zip(bounds, bounds[1:]):
             self._read_table_run(pages[lo:hi], vaddrs[lo:hi], out)
@@ -742,10 +742,14 @@ class AddressSpace:
                 present = miss[:taken]
                 leaf.mark_accessed(idx[present])
                 frames = (words[:taken] >> _PAGE_SHIFT).tolist()
-                positions = present.tolist()
-                tlb.insert_many([run[i] for i in positions], frames)
-                for i, frame in zip(positions, frames):
-                    cached[i] = frame
+                if taken == stop - pos:  # every lookup here missed
+                    tlb.insert_many(run[pos:stop], frames)
+                    cached[pos:stop] = frames
+                else:
+                    positions = present.tolist()
+                    tlb.insert_many([run[i] for i in positions], frames)
+                    for i, frame in zip(positions, frames):
+                        cached[i] = frame
             tlb.count_lookups(stop - pos - taken, taken)
             out.extend(self.frames.read_frames(cached[pos:stop]))
             if stop == n:

@@ -50,5 +50,5 @@ def drop_pte_table_references(
     leaf: PteTable, frames: FrameAllocator
 ) -> int:
     """Release every frame reference a leaf table holds (rollback/exit)."""
-    return frames.put_many(leaf.referencing_frames())
+    return frames.put_many(leaf.referencing_frames_array())
 

@@ -20,6 +20,7 @@ memory" mid-flight, and the fork engine must roll back.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -152,13 +153,15 @@ class FrameAllocator:
             raise OutOfMemoryError(
                 f"frame allocator exhausted ({self.capacity} frames)"
             )
+        counts = self._mapcounts
         if self.reuse_freed and self._free_list:
             frame = self._free_list.pop()
+            counts.arr[frame] = 0
         else:
             frame = self._next_frame
             self._next_frame += 1
-        page = PageStruct(frame=frame, counts=self._mapcounts)
-        page.tags.add(purpose)
+        # A fresh frame's count slot has never been written: it is zero.
+        page = PageStruct(frame, tags={purpose}, counts=counts)
         self._pages[frame] = page
         self._alloc_count.value += 1
         return page
@@ -196,18 +199,48 @@ class FrameAllocator:
                 hooks.notify_access("atomic", "mapcount", int(frame))
         np.add.at(self._mapcounts.arr, frames, 1)
 
-    def put_many(self, frames: list[int]) -> int:
+    def put_many(self, frames) -> int:
         """Drop one reference per listed frame, freeing at zero.
 
         Mirrors ``page.put() == 0 -> free(frame)`` per frame, in list
-        order, so the free order (and ``reuse_freed`` recycling) matches
-        the scalar path exactly.  Returns how many references dropped.
+        order: a frame is freed at the position of its last listed
+        reference, so the free order (and ``reuse_freed`` recycling)
+        matches the scalar path exactly.  The counts drop in one numpy
+        step; only frames that reach zero cost a Python call.  A list
+        that would put a frame below zero, or a call made while access
+        hooks are installed (they see every per-frame event), takes the
+        per-frame path, which raises at the offending put (a free that
+        raises does so after every count has dropped).  Returns how many
+        references dropped.
         """
+        frames = np.asarray(frames, dtype=np.intp)
+        count = len(frames)
+        if not count:
+            return 0
+        arr = self._mapcounts.arr
+        # Reversed, so np.unique's first index is each frame's last
+        # listed position.
+        unique, last, puts = np.unique(
+            frames[::-1], return_index=True, return_counts=True
+        )
+        left = arr[unique] - puts
+        if hooks.ACCESS_HOOKS or (left < 0).any():
+            return self._put_each(frames.tolist())
+        arr[unique] = left
+        dead = np.flatnonzero(left == 0)
+        if len(dead):
+            order = np.argsort(last[dead])[::-1]
+            for frame in unique[dead[order]].tolist():
+                self.free(frame)
+        return count
+
+    def _put_each(self, frames: list[int]) -> int:
+        """:meth:`put_many` one frame at a time."""
         arr = self._mapcounts.arr
         notify = bool(hooks.ACCESS_HOOKS)
         for frame in frames:
             if notify:
-                hooks.notify_access("atomic", "mapcount", int(frame))
+                hooks.notify_access("atomic", "mapcount", frame)
             count = int(arr[frame]) - 1
             if count < 0:
                 raise RuntimeError(
@@ -255,6 +288,8 @@ class FrameAllocator:
         pages = self._pages
         get = self._contents.get
         notify = bool(hooks.ACCESS_HOOKS)
+        if not notify and all(map(pages.__contains__, frames)):
+            return list(map(get, frames, repeat(_ZERO_PAGE)))
         out: list[bytes] = []
         for frame in frames:
             if frame != 0:

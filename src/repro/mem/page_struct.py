@@ -72,12 +72,15 @@ class PageStruct:
         #: Free-form tags used by tests and by the reclaim machinery.
         self.tags = tags if tags is not None else set()
         #: Shared map-count array (allocator-owned) or ``None`` for a
-        #: standalone page, which then counts locally.
+        #: standalone page, which then counts locally.  A shared slot is
+        #: written only for a non-zero ``mapcount``: the allocator hands
+        #: out frames whose slot is zero.
         self._counts = counts
-        self._local = 0
+        self._local = mapcount if counts is None else 0
         if counts is not None:
             counts.ensure(frame)
-        self.mapcount = mapcount
+            if mapcount:
+                counts.arr[frame] = mapcount
 
     @property
     def mapcount(self) -> int:

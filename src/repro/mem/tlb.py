@@ -104,11 +104,8 @@ class Tlb:
 
     def insert_many(self, pages: list[int], frames: list[int]) -> None:
         """Cache read-only translations, as :meth:`insert` per page."""
-        entries = self._entries
-        discard = self._writable.discard
-        for page, frame in zip(pages, frames):
-            entries[page] = frame
-            discard(page)
+        self._entries.update(zip(pages, frames))
+        self._writable.difference_update(pages)
 
     def flush_page(self, vaddr: int) -> None:
         """Invalidate the entry for one page (INVLPG)."""

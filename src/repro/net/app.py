@@ -51,12 +51,15 @@ WRITE_HIGH_WATER = 64 * 1024
 
 #: Payload bytes a BGSAVE child serializes per served command.  The
 #: child shares the serving thread, so this is the extra work one
-#: command can pick up from a snapshot in flight (about 1.2 ms on a
-#: 2-vCPU VM).  Chosen on perfbench wire-snapshot: smaller slices cut
-#: p99 further but land on more commands, which costs throughput and
-#: p50; larger ones keep less of the p99 gain (256 / 384 / 512 KiB:
-#: p99 4.7x / 4.1x / 3.4x lower than one-shot serialization, ops/s
-#: -16% / -14% / -9%, over 5 runs each).
+#: command can pick up from a snapshot in flight: planning the slice's
+#: entries and reading their pages, about 0.2 ms on a 2-vCPU VM, since
+#: a slice keeps references to the child's page images and packs
+#: nothing (DESIGN.md §15).  Chosen on perfbench wire-snapshot when
+#: slices still copied and packed every value: smaller slices cut p99
+#: further but land on more commands, which costs throughput and p50;
+#: larger ones keep less of the p99 gain (256 / 384 / 512 KiB: p99
+#: 4.7x / 4.1x / 3.4x lower than one-shot serialization, ops/s -16% /
+#: -14% / -9%, over 5 runs each).
 SNAPSHOT_SLICE_BYTES = 384 * 1024
 
 
@@ -92,9 +95,10 @@ class ServerConfig:
     #: tables to copy.  The emulated instance size below, not the
     #: resident byte count, decides the fork call's cost.  The child's
     #: snapshot serialization shares the serving thread (unlike a real
-    #: child process) and costs about 5 ms per MiB on a 2-vCPU VM
-    #: (21 ms at 4k x 1 KiB), which is why the server runs it in
-    #: ``SNAPSHOT_SLICE_BYTES`` slices, one per served command.
+    #: child process) and costs about 0.6 ms per MiB on a 2-vCPU VM
+    #: (2.5 ms at 4k x 1 KiB; it packs nothing, the file packs when
+    #: read), which the server spreads over ``SNAPSHOT_SLICE_BYTES``
+    #: slices, one per served command.
     keys: int = 512
     value_size: int = 512
     #: Emulated instance size: fork-call costs are scaled as if the

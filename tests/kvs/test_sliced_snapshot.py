@@ -14,8 +14,11 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.async_fork import AsyncFork
+from repro.determinism import seeded_random
 from repro.faults import SITE_DISK_WRITE, FaultPlan, FaultSpec
 from repro.kernel.forks.default import DefaultFork
 from repro.kernel.forks.odf import OnDemandFork
@@ -23,9 +26,16 @@ from repro.kvs import rdb
 from repro.kvs.engine import KvEngine
 from repro.kvs.resp import RespError
 from repro.kvs.server import CommandServer
+from repro.kvs.store import KvStore, PageWalk, ValueRef, page_values
+from repro.mem.hugepage import HUGE_PAGE_SIZE
 from repro.obs import tracer as obs
-from repro.units import SEC
-from tests.kvs.test_items_from import _reference_walk
+from repro.units import PAGE_SIZE, PTE_TABLE_SPAN, SEC
+from tests.kvs.test_items_from import (
+    VALUES,
+    _observe,
+    _reference_walk,
+    _scattered_world,
+)
 from tests.kvs.test_server_cron import info_fields, send
 
 ENGINES = (DefaultFork, OnDemandFork, AsyncFork)
@@ -240,3 +250,181 @@ class TestServerWhileSliced:
         assert server.engine.active_job is None
         assert info_fields(server)["completed_snapshots"] == "1"
 
+
+# ----------------------------------------------------------------------
+# snapshots by reference: the file keeps page images, packs when read
+# ----------------------------------------------------------------------
+
+#: Values placed by hand in a THP region: inside one 4 KiB page, across
+#: a 4 KiB boundary, and over several pages.
+THP_VALUES = (
+    (64, 100),
+    (PAGE_SIZE - 30, 60),
+    (5 * PAGE_SIZE + 7, 3 * PAGE_SIZE),
+)
+
+
+def _value_size(rng) -> int:
+    """0, under a page, around a page (bump allocation makes many of
+    these straddle a page boundary) or several pages."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randrange(1, PAGE_SIZE // 2)
+    if kind == 2:
+        return rng.randrange(PAGE_SIZE // 2, PAGE_SIZE + 64)
+    return rng.randrange(2 * PAGE_SIZE, 4 * PAGE_SIZE)
+
+
+def _mixed_world(fork_cls, seed: int):
+    """A keyspace of drawn value sizes and, where the fork engine can
+    fork huge pages, values in a THP region; returns the engine and
+    the THP region's base (or ``None``)."""
+    engine = KvEngine(fork_engine=fork_cls())
+    rng = seeded_random(seed)
+    for i in range(150):
+        engine.set(b"m%03d" % i, rng.randbytes(_value_size(rng)))
+    if fork_cls is AsyncFork:  # it refuses THP mappings (§4.2)
+        return engine, None
+    mm = engine.process.mm
+    base = mm.mmap_huge(HUGE_PAGE_SIZE).start
+    for j, (offset, size) in enumerate(THP_VALUES):
+        mm.write_memory(base + offset, rng.randbytes(size))
+        engine.store._table[b"thp%d" % j] = ValueRef(base + offset, size)
+    return engine, base
+
+
+def _mutate(engine: KvEngine, rng, thp_base) -> None:
+    """Parent writes: SET in place, SET larger (reallocates), DEL, a
+    new key that may reuse the freed block, and a THP-region write."""
+    keys = [k for k in engine.store.keys() if k.startswith(b"m")]
+    engine.set(rng.choice(keys), b"i")
+    engine.set(rng.choice(keys), rng.randbytes(3 * PAGE_SIZE))
+    engine.delete(rng.choice(keys))
+    new_key = b"n%06d" % rng.randrange(10**6)
+    engine.set(new_key, rng.randbytes(_value_size(rng)))
+    if thp_base is not None:
+        offset, size = THP_VALUES[rng.randrange(len(THP_VALUES))]
+        engine.process.mm.write_memory(thp_base + offset, b"!" * size)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("fork_cls", ENGINES, ids=lambda cls: cls.name)
+def test_reference_file_is_the_fork_time_state(fork_cls, seed):
+    """Whatever the parent writes between slices, after the close and
+    after the reap, the file's first read packs the fork-time values."""
+    engine, thp_base = _mixed_world(fork_cls, seed)
+    job = engine.bgsave()
+    store = engine.store
+    table = job._table
+    expected = rdb.dump([(key, store.get(key)) for key in table])
+    straddles = [
+        ref
+        for ref in table.values()
+        if ref.length
+        and ref.vaddr // PAGE_SIZE != (ref.vaddr + ref.length - 1) // PAGE_SIZE
+    ]
+    assert straddles and any(ref.length == 0 for ref in table.values())
+    rng = seeded_random(seed + 100)
+    slices = 0
+    while not job.serialized:
+        if job.write_slice(BUDGET):
+            slices += 1
+        _mutate(engine, rng, thp_base)
+    assert slices > 10
+    _mutate(engine, rng, thp_base)  # closed, not reaped
+    snapshot = job.finish().file
+    _mutate(engine, rng, thp_base)  # reaped, never read
+    assert snapshot.size == expected.size
+    assert snapshot.entry_count == expected.entry_count == len(table)
+    assert snapshot.payload == expected.payload
+    assert snapshot.digest == expected.digest
+
+
+@pytest.mark.parametrize("fork_cls", ENGINES, ids=lambda cls: cls.name)
+def test_one_shot_reference_file_is_the_fork_time_state(fork_cls):
+    engine, thp_base = _mixed_world(fork_cls, 3)
+    job = engine.bgsave()
+    expected = rdb.dump([(key, engine.store.get(key)) for key in job._table])
+    snapshot = job.finish().file
+    _mutate(engine, seeded_random(4), thp_base)
+    assert snapshot.size == expected.size
+    assert snapshot.payload == expected.payload
+    assert snapshot.digest == expected.digest
+
+
+@pytest.mark.parametrize("fork_cls", ENGINES, ids=lambda cls: cls.name)
+def test_a_sliced_save_holds_page_images_not_copies(fork_cls):
+    """On a dense table, the save (plan, slices, close, reap) never
+    holds half a table run of new memory, where copied values would
+    hold the whole payload.  The first read leaves the payload plus at
+    most one table run; while it joins, the parts and the payload exist
+    at once."""
+    engine = KvEngine(fork_engine=fork_cls())
+    for i in range(2 * PTE_TABLE_SPAN // 1024):
+        engine.set(b"d%06d" % i, bytes([i % 251]) * 1000)
+    job = engine.bgsave()
+    while not job.child_copy_done:
+        job.step_child()
+    tracemalloc.start()
+    try:
+        while not job.serialized:
+            job.write_slice(384 * 1024)
+        snapshot = job.finish().file
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        payload = snapshot.payload
+        held, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(payload) == snapshot.size > PTE_TABLE_SPAN
+    assert save_peak < PTE_TABLE_SPAN // 2
+    assert held <= snapshot.size + PTE_TABLE_SPAN
+    assert read_peak <= 2 * snapshot.size + PTE_TABLE_SPAN
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    values=VALUES,
+    chunk_pages=st.sampled_from([None, 1, 2, 7]),
+    budgets=st.lists(st.integers(1, 3 * PAGE_SIZE), min_size=1, max_size=6),
+)
+def test_page_walk_reads_what_the_streaming_walk_reads(
+    values, chunk_pages, budgets
+):
+    """However a walk is cut into budgets, it makes the streaming
+    walk's ``read_pages`` calls, in order, and its extents cut out the
+    same values."""
+    mm_a, scattered = _scattered_world()
+    mm_b, _ = _scattered_world()
+    base = scattered[b"a"].vaddr
+    table = {
+        b"k%02d" % i: ValueRef(base + offset, length)
+        for i, (offset, length) in enumerate(values)
+    }
+    calls: list[list[int]] = [[], []]
+    for mm, seen in zip((mm_a, mm_b), calls):
+        real = mm.read_pages
+
+        def spy(pages, real=real, seen=seen):
+            seen.append(list(pages))
+            return real(pages)
+
+        mm.read_pages = spy
+    want = list(KvStore(mm_b).items_from(mm_b, table, chunk_pages))
+    walk = PageWalk(mm_a, table, chunk_pages)
+    got = []
+    for budget in itertools.chain(budgets, itertools.repeat(None)):
+        if walk.done:
+            break
+        keys, starts, lengths, nbytes = walk.take(budget)
+        assert nbytes == 8 * len(keys) + sum(map(len, keys)) + lengths.sum()
+        got += zip(keys, map(bytes, page_values(starts, lengths, walk.pages)))
+    assert got == want
+    assert calls[0] == calls[1]
+    assert _observe(mm_a) == _observe(mm_b)

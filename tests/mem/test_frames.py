@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
 from repro.mem.frames import FrameAllocator
@@ -184,3 +186,66 @@ class TestContents:
         fresh = frames.alloc()
         assert fresh.frame == page.frame
         assert frames.read(fresh.frame, 0, 6) == b"\x00" * 6
+
+
+def _put_each(frames: FrameAllocator, listed: list[int]) -> None:
+    """The scalar reference for ``put_many``: ``put`` each listed frame
+    in order and free it when its count reaches zero."""
+    pages = {frame: frames.page(frame) for frame in set(listed)}
+    for frame in listed:
+        if pages[frame].put() == 0:
+            frames.free(frame)
+
+
+@settings(max_examples=200, deadline=None)
+@example(counts=[2, 1], picks=[0, 1, 0], reuse=True)
+@given(
+    counts=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+    picks=st.lists(st.integers(0, 9), max_size=24),
+    reuse=st.booleans(),
+)
+def test_put_many_matches_the_scalar_path(counts, picks, reuse):
+    """Map counts, free order and the frames later allocations get are
+    those of one ``put`` per listed frame; duplicates free a frame at its
+    last listed reference, and a put below zero raises at the same
+    point."""
+    outcomes = []
+    for put in (FrameAllocator.put_many, _put_each):
+        frames = FrameAllocator(reuse_freed=reuse)
+        numbers = []
+        for count in counts:
+            page = frames.alloc()
+            for _ in range(count):
+                page.get()
+            numbers.append(page.frame)
+        listed = [numbers[i % len(numbers)] for i in picks]
+        freed: list[int] = []
+        real_free = frames.free
+
+        def spy(frame, real_free=real_free, freed=freed):
+            freed.append(frame)
+            real_free(frame)
+
+        frames.free = spy
+        try:
+            put(frames, listed)
+            raised = None
+        except RuntimeError as exc:
+            raised = str(exc)
+        left = {
+            frame: frames.page(frame).mapcount
+            for frame in numbers
+            if frames.is_allocated(frame)
+        }
+        later = [frames.alloc().frame for _ in range(len(numbers))]
+        outcomes.append((raised, freed, left, later))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_put_many_below_zero_raises():
+    frames = FrameAllocator()
+    page = frames.alloc()
+    page.get()
+    with pytest.raises(RuntimeError, match="below zero"):
+        frames.put_many([page.frame, page.frame])
+    assert not frames.is_allocated(page.frame)
