@@ -9,17 +9,17 @@ in flight.  Each of those commands is one serverCron tick, labelled by
 what the tick did for the child:
 
 * ``copy``: an Async-fork page-table copy step;
-* ``plan``: the last copy step (if any) plus opening the keyspace walk
+* ``start``: the last copy step (if any) plus opening the keyspace walk
   (each slice plans its own entries);
 * ``slice``: one byte-budgeted slice (``net.app.SNAPSHOT_SLICE_BYTES``):
-  plan its entries, read their pages, keep references;
-* ``close``: closing the writer (the file packs, joins and hashes its
-  payload only when read, off the serving ticks);
-* ``reap``: ``SnapshotJob.finish`` (persist, retire the child).
+  plan its entries, read their pages; the last slice finishes the walk;
+* ``reap``: ``SnapshotJob.finish``: make the file of the finished walk
+  (it packs, joins and hashes its payload only when read, off the
+  serving ticks), persist, retire the child.
 
 It prints the median and max per label over the measured rounds (the
-first ``--warmup`` rounds are dropped) and exits 1 if the median plan,
-close or reap tick costs more than ``--limit`` times the median slice.
+first ``--warmup`` rounds are dropped) and exits 1 if the median start
+or reap tick costs more than ``--limit`` times the median slice.
 Medians, because on a shared VM any single tick can take a few ms more
 when another tenant runs.
 
@@ -46,7 +46,7 @@ from repro.net.app import (  # noqa: E402
     build_backend,
 )
 
-LABELS = ("copy", "plan", "slice", "close", "reap")
+LABELS = ("copy", "start", "slice", "reap")
 
 
 def snapshot_ticks(backend, next_command) -> list[tuple[str, float]]:
@@ -62,10 +62,10 @@ def snapshot_ticks(backend, next_command) -> list[tuple[str, float]]:
         copied.append(job.child_copy_done)
     # Ticks before the copy finished are copy steps; the tick that
     # finished it (or the first tick, for an engine with nothing to
-    # copy) also planned; the last two closed and reaped.
-    plan = copied.index(True)
-    labels = ["copy"] * plan + ["plan"]
-    labels += ["slice"] * (len(costs) - plan - 3) + ["close", "reap"]
+    # copy) also opened the walk; the last one reaped.
+    opened = copied.index(True)
+    labels = ["copy"] * opened + ["start"]
+    labels += ["slice"] * (len(costs) - opened - 2) + ["reap"]
     return list(zip(labels, costs))
 
 

@@ -55,6 +55,7 @@ from repro.faults import (
 from repro.kvs import aof as aof_mod
 from repro.kvs import rdb, recovery
 from repro.kvs.engine import KvEngine
+from repro.kvs.store import PageWalk
 from repro.kvs.supervisor import MODE_FALLBACK, SnapshotSupervisor
 from repro.metrics.latency import percentile
 from repro.metrics.report import ExperimentReport, Table
@@ -153,7 +154,7 @@ def _run_seed(seed: int, ops: int, faults: int, save_every: int) -> dict:
             surfaced["writes-refused"] += 1
         if op % save_every == save_every - 1:
             expected = rdb.dump(
-                engine.store.items_from(engine.process.mm)
+                PageWalk(engine.process.mm, engine.store.table_snapshot())
             ).payload
             retries_before = supervisor.counters.retries
             promotions_before = supervisor.counters.promotions

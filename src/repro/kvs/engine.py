@@ -9,12 +9,14 @@ the child, exactly like the real systems.
 
 Child work is *cooperative*: ``SnapshotJob.step_child()`` advances the
 child's page-table copy (Async-fork) by one step so tests can interleave
-parent queries at any granularity.  Serialization comes two ways.
-``SnapshotJob.finish()`` completes the copy and serializes whatever is
-left in one call, which is what the simulated servers do at the reap.
-``SnapshotJob.write_slice(budget)`` serializes one byte-budgeted slice
-per call, so a server that shares its thread with the child (the live
-wire server) spends at most about one slice per command on it; the
+parent queries at any granularity.  The child serializes by walking
+its keyspace (:class:`~repro.kvs.store.PageWalk`), and the snapshot
+file is the finished walk (:func:`repro.kvs.rdb.dump`).
+``SnapshotJob.finish()`` completes the copy, walks whatever is left and
+makes the file in one call, which is what the simulated servers do at
+the reap.  ``SnapshotJob.write_slice(budget)`` walks one byte-budgeted
+slice per call, so a server that shares its thread with the child (the
+live wire server) spends at most about one slice per command on it; the
 payload and digest are the same either way.
 
 The engine alone records the in-flight job (:attr:`KvEngine.active_job`,
@@ -180,27 +182,21 @@ class SnapshotJob(ForkJob):
         #: Writes the fork point absorbed from the dirty counter; given
         #: back on a §4.4 rollback/abort so the save point re-fires.
         self._dirty_at_fork = dirty_at_fork
-        #: Sliced serialization state (:meth:`write_slice`): the writer,
-        #: the child's keyspace walk, and the closed file once every
-        #: entry is in (still unpacked: the file packs, joins and hashes
-        #: when a reader asks).
-        self._writer: Optional[rdb.Writer] = None
+        #: The child's keyspace walk, once :meth:`write_slice` opened it.
         self._walk: Optional[PageWalk] = None
-        self._snapshot: Optional[rdb.SnapshotFile] = None
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down; un-absorb the fork point's dirty count."""
         if self._dirty_at_fork and self.report is None:
             self.engine.store.dirty_since_save += self._dirty_at_fork
             self._dirty_at_fork = 0
-        self._writer = self._walk = self._snapshot = None
+        self._walk = None
         super().abort(reason=reason)
 
     @property
     def serialized(self) -> bool:
-        """Whether :meth:`write_slice` has written every entry and closed
-        the file."""
-        return self._snapshot is not None
+        """Whether :meth:`write_slice` has walked every entry."""
+        return self._walk is not None and self._walk.done
 
     def write_slice(self, budget: int) -> int:
         """Take one step of the sliced serialization; returns bytes written.
@@ -208,33 +204,27 @@ class SnapshotJob(ForkJob):
         The resumable form of :meth:`finish`'s serialization, for a
         server that must spend no more than about one slice's time per
         command on the child (the wire server, DESIGN.md §15).  The
-        first call waits out the child's copy and starts the keyspace
+        first call waits out the child's copy and opens the keyspace
         walk (:class:`~repro.kvs.store.PageWalk`), planning nothing yet.
-        Each later call hands the writer the entries that fit in
-        ``budget`` payload bytes (more only when one entry alone is
-        larger): the walk plans just those entries, reads the pages they
-        touch, at most ``budget`` bytes of pages per ``read_pages``
-        call, and the writer keeps the keys, the values' extents and the
-        page images, copying no value.  The call after the last entry
-        closes the writer; then :attr:`serialized` is true and
-        :meth:`finish` only persists and retires.  The file packs its
-        bytes when first read.  Any failure aborts the job and re-raises.
+        Each later call takes the entries that fit in ``budget`` payload
+        bytes (more only when one entry alone is larger): the walk plans
+        just those entries and reads the pages they touch, at most
+        ``budget`` bytes of pages per ``read_pages`` call, copying no
+        value.  Once the walk has taken every entry, :attr:`serialized`
+        is true and :meth:`finish` makes the file of the finished walk,
+        persists and retires.  The file packs its bytes when first read.
+        Any failure aborts the job and re-raises.
         """
         try:
-            if self._writer is None:
+            if self._walk is None:
                 self._drain_child()
                 self._walk = PageWalk(
                     self.child.mm,
                     self._table,
                     chunk_pages=max(1, budget // PAGE_SIZE),
                 )
-                self._writer = rdb.Writer(len(self._table))
                 return 0
-            if self._walk.done:
-                self._snapshot = self._writer.close()
-                return 0
-            before = self._writer.entry_count
-            nbytes = self._writer.write_from(self._walk, budget)
+            keys, _, _, nbytes = self._walk.take(budget)
         except Exception:
             if not self.done:
                 self.abort(reason="serialize")
@@ -244,7 +234,7 @@ class SnapshotJob(ForkJob):
                 "kvs.snapshot.slice",
                 obs.CAT_KVS,
                 self.engine.clock.now,
-                keys=self._writer.entry_count - before,
+                keys=len(keys),
                 bytes=nbytes,
             )
         return nbytes
@@ -258,15 +248,11 @@ class SnapshotJob(ForkJob):
             if self.report is None:
                 self._raise_failure()
             return self.report
-        if self._writer is None:
+        if self._walk is None:  # one-shot
             self._drain_child()
-            snapshot = rdb.dump(PageWalk(self.child.mm, self._table))
-        else:  # sliced: write what is left, if anything
-            snapshot = self._snapshot
-            if snapshot is None:
-                self._writer.write_from(self._walk)
-                snapshot = self._writer.close()
-            self._writer = self._walk = self._snapshot = None
+            self._walk = PageWalk(self.child.mm, self._table)
+        snapshot = rdb.dump(self._walk)
+        self._walk = None
         try:
             persist_ns = self.engine.disk.write(snapshot.size, what="rdb")
         except Exception:
@@ -314,7 +300,7 @@ class RewriteJob(ForkJob):
         self._drain_child()
         compact = list(
             aof_mod.compact_commands(
-                self.engine.store.items_from(self.child.mm, self._table)
+                PageWalk(self.child.mm, self._table).items()
             )
         )
         try:

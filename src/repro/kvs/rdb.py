@@ -6,14 +6,13 @@ A deliberately simple but complete binary format::
 
 The *content* matters to tests (the child must serialize exactly the
 fork-time state); the *size* matters to the timing tier (persist duration
-= bytes / disk bandwidth).  A written file knows its size and entry
-count when it is closed, but packs, joins and hashes its bytes only when
-a reader (recovery, ``DUMP``, a byte check) asks, so persisting a
-snapshot costs none of that (:class:`SnapshotFile`).  A forked child's
-snapshot does not even copy its values: the writer keeps the keys, the
-values' extents and the child's immutable page images
-(:class:`~repro.kvs.store.PageWalk`), and the file cuts the values out
-of those images on first read.
+= bytes / disk bandwidth).  A forked child's snapshot file is its
+finished keyspace walk (:class:`~repro.kvs.store.PageWalk`): it holds
+the keys, the values' extents and the child's immutable page images, so
+it knows its size and entry count at once, but packs, joins and hashes
+its bytes only when a reader (recovery, a byte check) asks, and
+persisting a snapshot costs none of that (:class:`SnapshotFile`).  A
+file of (key, value) pairs (``DUMP``) packs at once.
 """
 
 from __future__ import annotations
@@ -35,53 +34,44 @@ _first, _second = itemgetter(0), itemgetter(1)
 #: A written file's digest before anyone has asked for it.
 _PENDING = object()
 
-#: Entries a writer took from a :class:`~repro.kvs.store.PageWalk`:
-#: keys, value addresses, value lengths and the walk's page images.
-_Paged = tuple[list[bytes], np.ndarray, np.ndarray, dict[int, bytes]]
-#: What a writer holds per call: packed parts, or entries by reference.
-_Piece = Union[list[bytes], _Paged]
+#: A finished walk's entries: keys, value addresses, value lengths and
+#: the walk's page images.
+_Walked = tuple[list[bytes], np.ndarray, np.ndarray, dict[int, bytes]]
 
 
 def _digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def _pack(keys: list[bytes], values: list[bytes], lengths: list[int]):
-    """The parts of entries ``(keys[i], values[i])``, in payload order."""
-    return chain.from_iterable(
-        zip(
-            map(_pack_u32, map(len, keys)),
-            keys,
-            map(_pack_u32, lengths),
-            values,
-        )
+def _join(keys: list[bytes], values: list, lengths: list[int]) -> bytes:
+    """The payload of entries ``(keys[i], values[i])``."""
+    parts = zip(
+        map(_pack_u32, map(len, keys)),
+        keys,
+        map(_pack_u32, lengths),
+        values,
     )
-
-
-def _parts(piece: _Piece):
-    if type(piece) is list:
-        return piece
-    keys, starts, lengths, pages = piece
-    return _pack(keys, page_values(starts, lengths, pages), lengths.tolist())
+    header = (MAGIC, _pack_u32(len(keys)))
+    return b"".join(chain(header, chain.from_iterable(parts)))
 
 
 class SnapshotFile:
     """An RDB-like snapshot image plus bookkeeping.
 
-    A file from :meth:`Writer.close` holds what the writer kept: packed
-    parts and, for a child's keyspace walk, entries by reference (keys,
-    value extents and page images).  :attr:`payload` packs and joins
-    them on first read and drops them, and :attr:`digest` hashes those
-    bytes on first need, so a snapshot nobody reads is never packed or
-    hashed; :attr:`size` and :attr:`entry_count` are exact from the
-    start.  Page images are immutable, so a late first read still sees
-    the fork-time bytes.  A hand-built file
-    (``SnapshotFile(payload=...)``) has no digest unless one is given.
-    A file never changes its payload: damage makes a new file that
-    carries the original's digest (:func:`repro.faults.corrupt_snapshot`).
+    A file from :func:`dump` of a child's walk holds the walk's entries
+    by reference (keys, value extents and page images).
+    :attr:`payload` packs and joins them on first read and drops them,
+    and :attr:`digest` hashes those bytes on first need, so a snapshot
+    nobody reads is never packed or hashed; :attr:`size` and
+    :attr:`entry_count` are exact from the start.  Page images are
+    immutable, so a late first read still sees the fork-time bytes.  A
+    hand-built file (``SnapshotFile(payload=...)``) has no digest unless
+    one is given.  A file never changes its payload: damage makes a new
+    file that carries the original's digest
+    (:func:`repro.faults.corrupt_snapshot`).
     """
 
-    __slots__ = ("_pieces", "_payload", "_digest", "size", "entry_count")
+    __slots__ = ("_walked", "_payload", "_digest", "size", "entry_count")
 
     def __init__(
         self,
@@ -89,7 +79,7 @@ class SnapshotFile:
         entry_count: int = 0,
         digest: Optional[str] = None,
     ) -> None:
-        self._pieces: Optional[list[_Piece]] = None
+        self._walked: Optional[_Walked] = None
         self._payload = payload
         self._digest = digest
         #: Bytes the child wrote to disk.
@@ -99,13 +89,15 @@ class SnapshotFile:
     @property
     def payload(self) -> bytes:
         """The file's bytes, packed and joined on first read."""
-        if self._pieces is not None:
-            payload = b"".join(chain.from_iterable(map(_parts, self._pieces)))
-            self._pieces = None
+        if self._walked is not None:
+            keys, starts, lengths, pages = self._walked
+            values = page_values(starts, lengths, pages)
+            payload = _join(keys, values, lengths.tolist())
+            self._walked = None
             if len(payload) != self.size:
                 raise RuntimeError(
                     f"packed {len(payload)} snapshot bytes, "
-                    f"the writer counted {self.size}"
+                    f"the walk counted {self.size}"
                 )
             self._payload = payload
         return self._payload
@@ -119,82 +111,23 @@ class SnapshotFile:
         return self._digest
 
 
-class Writer:
-    """One snapshot file, written over as many calls as the caller likes.
-
-    :func:`dump` runs it in one call; the wire server's BGSAVE child runs
-    it one byte-budgeted slice per served command (DESIGN.md §15).  Both
-    produce the same payload and digest.
-
-    :meth:`write` packs (key, value) pairs into parts at once;
-    :meth:`write_from` takes a child's keyspace walk by reference and
-    packs nothing.  :meth:`close` hands what the writer holds and the
-    size it counted to the file, which packs, joins and hashes only when
-    a reader asks (:class:`SnapshotFile`).  Given the entry count up
-    front, the header is final before any entry arrives; without one (a
-    stream of unknown length) it is filled in at close.
-    """
-
-    def __init__(self, count: Optional[int] = None) -> None:
-        self.count = count
-        self._header = [MAGIC, b"" if count is None else _pack_u32(count)]
-        self._pieces: list[_Piece] = [self._header]
-        self.entry_count = 0
-        #: Payload bytes written so far (header included).
-        self.size = 8
-
-    def write(self, entries: Iterable[tuple[bytes, bytes]]) -> int:
-        """Pack (key, value) pairs; returns the payload bytes they took."""
-        batch = tuple(entries)
-        keys = list(map(_first, batch))
-        values = list(map(_second, batch))
-        lengths = list(map(len, values))
-        self._pieces.append(list(_pack(keys, values, lengths)))
-        nbytes = 8 * len(keys) + sum(map(len, keys)) + sum(lengths)
-        return self._count(len(keys), nbytes)
-
-    def write_from(self, walk: PageWalk, budget: Optional[int] = None) -> int:
-        """Take the walk's next entries, up to ``budget`` payload bytes
-        (all that are left by default), by reference; returns the
-        payload bytes they took.  No value is copied: the cost is the
-        walk planning those entries and reading their pages."""
-        keys, starts, lengths, nbytes = walk.take(budget)
-        if keys:
-            self._pieces.append((keys, starts, lengths, walk.pages))
-        return self._count(len(keys), nbytes)
-
-    def _count(self, entries: int, nbytes: int) -> int:
-        self.entry_count += entries
-        self.size += nbytes
-        return nbytes
-
-    def close(self) -> SnapshotFile:
-        """Seal the header and hand what the writer holds to the file."""
-        if self.count is None:
-            self._header[1] = _pack_u32(self.entry_count)
-        elif self.entry_count != self.count:
-            raise ValueError(
-                f"snapshot header promises {self.count} entries, "
-                f"{self.entry_count} were written"
-            )
-        snapshot = SnapshotFile(entry_count=self.entry_count, digest=_PENDING)
-        snapshot._pieces, snapshot.size = self._pieces, self.size
-        self._pieces = []
-        return snapshot
-
-
 def dump(
     entries: Union[Iterable[tuple[bytes, bytes]], PageWalk],
 ) -> SnapshotFile:
-    """Write a snapshot file in one call: from (key, value) pairs, or
-    from a child's keyspace walk, whose values stay on their pages until
-    the file is read."""
-    writer = Writer()
+    """Write a snapshot file: from a child's keyspace walk, which this
+    finishes and whose values stay on their pages until the file is
+    read, or from (key, value) pairs, packed at once.  Either way the
+    digest is computed on first need."""
     if isinstance(entries, PageWalk):
-        writer.write_from(entries)
-    else:
-        writer.write(entries)
-    return writer.close()
+        keys, starts, lengths, nbytes = entries.finish()
+        snapshot = SnapshotFile(entry_count=len(keys), digest=_PENDING)
+        snapshot._walked = (keys, starts, lengths, entries.pages)
+        snapshot.size = 8 + nbytes
+        return snapshot
+    pairs = tuple(entries)
+    values = list(map(_second, pairs))
+    payload = _join(list(map(_first, pairs)), values, list(map(len, values)))
+    return SnapshotFile(payload, len(pairs), _PENDING)
 
 
 def verify(snapshot: SnapshotFile) -> None:
@@ -229,9 +162,9 @@ def load(snapshot: SnapshotFile) -> Iterator[tuple[bytes, bytes]]:
     """
     verify(snapshot)
     payload = snapshot.payload
-    (count,) = struct.unpack_from("<I", payload, 4)
-    offset = 8
     try:
+        (count,) = struct.unpack_from("<I", payload, 4)
+        offset = 8
         for _ in range(count):
             (klen,) = struct.unpack_from("<I", payload, offset)
             offset += 4

@@ -5,19 +5,25 @@ footprint is dominated by the values for the 1 KiB-value workloads of the
 paper); values live on simulated pages via :class:`JemallocArena`, so every
 SET is a real write to simulated memory — dirtying pages, triggering CoW
 after a fork, and (under Async-fork) proactive synchronizations.
+
+A forked child reads the keyspace it inherited (a copy of the key
+table) out of its own memory image, which CoW keeps at the fork-time
+state, through one walk, :class:`PageWalk`: BGSAVE keeps what it reads
+by reference, BGREWRITEAOF and the failover AOF rebuild take (key,
+value) pairs from it.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import getitem
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import KvsError
 from repro.kvs.allocator import JemallocArena
-from repro.mem.address_space import AddressSpace, table_run_bounds
+from repro.mem.address_space import AddressSpace
 from repro.units import PAGE_SHIFT, PAGE_SIZE, PTE_TABLE_SPAN
 
 _PAGE_MASK = ~(PAGE_SIZE - 1)
@@ -108,58 +114,9 @@ class KvStore:
         """Iterate over keys (unspecified order, like SCAN)."""
         return iter(self._table)
 
-    def items_from(
-        self,
-        mm: AddressSpace,
-        table: Optional[dict[bytes, ValueRef]] = None,
-        chunk_pages: Optional[int] = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Stream every (key, value) pair through *another* address space.
-
-        This is how a forked child reads the keyspace it inherited
-        (``table``; the live one by default) out of its own memory
-        image, which CoW keeps at the fork-time state: BGREWRITEAOF and
-        the failover AOF rebuild iterate it.  A snapshot takes the same
-        walk by reference instead (:class:`PageWalk`), cutting values
-        out of the page images only when the file is read.
-
-        Values pack many to a page, so each backing page is read once, in
-        the order the key walk first touches it, so faults happen in the
-        same order as a value-by-value walk.  Consecutive first touches
-        inside one PTE table are read together through
-        :meth:`~repro.mem.address_space.AddressSpace.read_pages`, at most
-        ``chunk_pages`` per call when given (``read_pages`` makes any
-        split observably the same), and the walk streams: a page's bytes
-        are dropped after the last key that uses it, so the cache holds
-        about one table-run of pages rather than the whole keyspace.
-
-        The plan (pages in first-touch order, each page's last touch) is
-        built with numpy when this is called, not on the first item.
-        """
-        if table is None:
-            table = self._table
-        keys = list(table)
-        vaddr, length = _extents(list(table.values()))
-        order, is_last, key_start = _plan_pages(vaddr, length)
-        bounds = table_run_bounds(order)
-        if chunk_pages is not None:
-            bounds = [
-                cut
-                for lo, hi in zip(bounds, bounds[1:])
-                for cut in range(lo, hi, chunk_pages)
-            ] + [len(order)]
-        runs = (order[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        return _walk(
-            keys, vaddr.tolist(), length.tolist(), key_start, is_last, runs, mm
-        )
-
     def table_snapshot(self) -> dict[bytes, ValueRef]:
         """Shallow copy of the key table, as inherited by a forked child."""
         return dict(self._table)
-
-    def flat_size(self) -> int:
-        """Total bytes of stored values."""
-        return sum(ref.length for ref in self._table.values())
 
 
 def _touches(
@@ -185,88 +142,32 @@ def _touches(
     return first[owner] + (step << PAGE_SHIFT), owner
 
 
-def _plan_pages(
-    vaddr: np.ndarray, length: np.ndarray
-) -> tuple[list[int], list[bool], Iterable[int]]:
-    """:meth:`KvStore.items_from`'s page plan, built with numpy.
-
-    Returns the pages in first-touch order; for every touch, in walk
-    order, whether it is the page's last; and the index of each key's
-    first touch.
-    """
-    touches, owner = _touches(vaddr, length)
-    if owner is None:
-        key_start: Iterable[int] = range(len(vaddr))
-    else:
-        key_start = np.searchsorted(owner, np.arange(len(vaddr))).tolist()
-    # Group equal pages, keeping walk order inside each group: a group's
-    # head is the page's first touch, its tail the last.
-    by_page = np.argsort(touches, kind="stable")
-    sorted_pages = touches[by_page]
-    heads = np.flatnonzero(np.diff(sorted_pages, prepend=-1))
-    tails = np.append(heads, len(touches))[1:] - 1
-    is_last = np.zeros(len(touches), dtype=bool)
-    is_last[by_page[tails]] = True
-    order = touches[np.sort(by_page[heads])]
-    return order.tolist(), is_last.tolist(), key_start
-
-
-def _walk(
-    keys: list[bytes],
-    vaddrs: list[int],
-    lengths: list[int],
-    key_start: Iterable[int],
-    is_last: list[bool],
-    runs: Iterator[list[int]],
-    mm: AddressSpace,
-) -> Iterator[tuple[bytes, bytes]]:
-    """The streaming half of :meth:`KvStore.items_from`."""
-    cache: dict[int, bytes] = {}
-
-    def page_bytes(page: int, touch: int) -> bytes:
-        blob = cache.get(page)
-        while blob is None:
-            run = next(runs)
-            cache.update(zip(run, mm.read_pages(run)))
-            blob = cache.get(page)
-        if is_last[touch]:
-            del cache[page]
-        return blob
-
-    for key, here, length, touch in zip(keys, vaddrs, lengths, key_start):
-        end = here + length
-        page = here & _PAGE_MASK
-        if here < end <= page + PAGE_SIZE:  # the common one-page value
-            yield key, page_bytes(page, touch)[here - page : end - page]
-            continue
-        parts: list[bytes] = []
-        while here < end:
-            page = here & _PAGE_MASK
-            stop = min(end, page + PAGE_SIZE)
-            parts.append(page_bytes(page, touch)[here - page : stop - page])
-            here = stop
-            touch += 1
-        yield key, b"".join(parts)
-
-
 #: Entries a walk plans at once before it knows their sizes.
 _PLAN_BLOCK = 256
+#: Payload bytes :meth:`PageWalk.items` takes per step.
+_ITEMS_BUDGET = 64 * 1024
 
 
 class PageWalk:
-    """A forked child's keyspace walk for a snapshot, by reference.
+    """A forked child's keyspace walk: the one way anything reads a
+    key table (``table``) out of an address space (``mm``).
 
-    It reads exactly what :meth:`KvStore.items_from` reads: each backing
-    page once, in the key walk's first-touch order, through
-    :meth:`~repro.mem.address_space.AddressSpace.read_pages` in the same
-    table runs of at most ``chunk_pages`` pages, so faults, TLB and PTE
-    state and trace events are the same.  But it copies no value:
+    Values pack many to a page, so the walk reads each backing page
+    once, in the order the key walk first touches it, so faults, TLB
+    and PTE state and trace events are those of a value-by-value walk.
+    Consecutive first touches inside one PTE table are read together
+    through :meth:`~repro.mem.address_space.AddressSpace.read_pages`, at
+    most ``chunk_pages`` per call when given (``read_pages`` makes any
+    split observably the same).  The walk copies no value:
     :meth:`take` returns the next entries' keys and value extents, and
     :attr:`pages` keeps every page image read.  Page images are
     immutable, so those extents stay the fork-time bytes whatever the
-    parent writes later, and a file cuts the values out only when it is
-    read (:func:`page_values`).  An image the parent has not rewritten
-    is the one the frame allocator holds, so keeping it costs nothing.
+    parent writes later, and a snapshot file cuts the values out only
+    when it is read (:func:`page_values`).  An image the parent has not
+    rewritten is the one the frame allocator holds, so keeping it costs
+    nothing.  :meth:`items` copies the values out as it goes, for the
+    readers that want (key, value) pairs (BGREWRITEAOF, the failover
+    AOF rebuild).
 
     The plan is built as the walk goes, a block of entries at a time:
     a call plans its own entries, plus as many later ones as it takes to
@@ -350,6 +251,22 @@ class PageWalk:
             self._lengths[start:stop],
             self._end(stop) - self._end(start),
         )
+
+    def finish(self) -> tuple[list[bytes], np.ndarray, np.ndarray, int]:
+        """Take every entry left; returns all of the walk's entries, as
+        :meth:`take` returns the ones it takes."""
+        self.take()
+        count = len(self._keys)
+        return self._keys, self._starts, self._lengths, self._end(count)
+
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        """The entries left, as (key, value) pairs, taken
+        ``_ITEMS_BUDGET`` payload bytes at a time; each value is copied
+        out of its page image as it is yielded."""
+        while not self.done:
+            keys, starts, lengths, _ = self.take(_ITEMS_BUDGET)
+            values = page_values(starts, lengths, self.pages)
+            yield from zip(keys, map(bytes, values))
 
     def _end(self, entries: int) -> int:
         """Payload bytes of the first ``entries`` entries (planned)."""

@@ -37,6 +37,7 @@ from repro.errors import NetworkPartitionError, ReplicationError
 from repro.faults.corrupt import corrupt_aof_bytes
 from repro.faults.plan import SITE_AOF_BYTES, FaultPlan
 from repro.kvs import aof as aof_mod
+from repro.kvs.store import PageWalk
 from repro.obs import tracer as obs
 from repro.repl.detector import FailureDetector
 from repro.repl.master import ReplicationMaster
@@ -194,11 +195,8 @@ class FailoverCoordinator:
             if spec is not None:
                 data = corrupt_aof_bytes(data, spec, self.plan.rng)
         _, dropped = aof_mod.decode(data, repair=True)
-        engine.aof.records = list(
-            aof_mod.compact_commands(
-                engine.store.items_from(engine.process.mm)
-            )
-        )
+        walk = PageWalk(engine.process.mm, engine.store.table_snapshot())
+        engine.aof.records = list(aof_mod.compact_commands(walk.items()))
         engine.aof.rewrite_buffer = []
         engine.aof.rewriting = False
         if dropped and obs.ACTIVE:

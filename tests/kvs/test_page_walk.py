@@ -1,9 +1,10 @@
-"""``KvStore.items_from``: the one streaming keyspace walk.
+"""``PageWalk``: the one keyspace walk, through its (key, value) pairs.
 
 The walk must read each backing page once, in the key walk's
 first-touch order (so faults and traces match a value-by-value walk),
-and stream: only about one PTE table's run of pages may be cached at a
-time, however large the keyspace.
+and ``PageWalk.items`` must stream: it copies values out a block at a
+time, so its new memory stays under about one PTE table's run of pages,
+however large the keyspace.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.analysis import hooks
 from repro.kernel.forks.default import DefaultFork
 from repro.kernel.task import Process
-from repro.kvs.store import KvStore, ValueRef
+from repro.kvs.store import KvStore, PageWalk, ValueRef
 from repro.mem.address_space import AddressSpace
 from repro.mem.frames import FrameAllocator
 from repro.obs import tracer as obs
@@ -83,7 +84,7 @@ class TestFirstTouchOrder:
         tracer_a, tracer_b = obs.Tracer(), obs.Tracer()
         obs.install(tracer_a)
         try:
-            got = list(KvStore(mm_a).items_from(mm_a, table))
+            got = list(PageWalk(mm_a, table).items())
         finally:
             obs.uninstall(tracer_a)
         obs.install(tracer_b)
@@ -98,7 +99,7 @@ class TestFirstTouchOrder:
     def test_same_access_hook_events(self):
         recorded = []
         for walk in (
-            lambda mm, t: KvStore(mm).items_from(mm, t),
+            lambda mm, t: PageWalk(mm, t).items(),
             _reference_walk,
         ):
             mm, table = _scattered_world()
@@ -126,7 +127,7 @@ class TestFirstTouchOrder:
             return real(pages)
 
         mm.read_pages = spy
-        list(KvStore(mm).items_from(mm, table))
+        list(PageWalk(mm, table).items())
         base = table[b"a"].vaddr
         t1, t2 = base + PTE_TABLE_SPAN, base + 2 * PTE_TABLE_SPAN
         assert calls == [
@@ -157,8 +158,8 @@ VALUES = st.lists(
 )
 @given(values=VALUES, chunk_pages=st.sampled_from([None, 1, 2, 7]))
 def test_any_table_and_read_cap_match_the_reference_walk(values, chunk_pages):
-    """The numpy plan and the ``chunk_pages`` cap change nothing a
-    value-by-value walk would show."""
+    """The numpy plan, the ``chunk_pages`` cap and the blocks
+    ``items`` takes change nothing a value-by-value walk would show."""
     mm_a, scattered = _scattered_world()
     mm_b, _ = _scattered_world()
     base = scattered[b"a"].vaddr
@@ -174,7 +175,7 @@ def test_any_table_and_read_cap_match_the_reference_walk(values, chunk_pages):
         return real(pages)
 
     mm_a.read_pages = spy
-    got = list(KvStore(mm_a).items_from(mm_a, table, chunk_pages))
+    got = list(PageWalk(mm_a, table, chunk_pages).items())
     assert got == list(_reference_walk(mm_b, table))
     assert _observe(mm_a) == _observe(mm_b)
     if chunk_pages is not None:
@@ -194,7 +195,7 @@ class TestStreaming:
         last = store.table_snapshot()[b"key:%05d" % (nkeys - 1)].vaddr
         assert (last - first) // PTE_TABLE_SPAN >= tables - 1
 
-        walk = store.items_from(child.mm)
+        walk = PageWalk(child.mm, store.table_snapshot()).items()
         tracemalloc.start()
         try:
             count = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -14,12 +15,15 @@ from repro.determinism import seeded_random
 from repro.errors import CorruptSnapshotError
 from repro.faults import SITE_RDB_BYTES, FaultSpec, corrupt_snapshot
 from repro.kvs import rdb
+from repro.kvs.store import KvStore, PageWalk
+from repro.mem.address_space import AddressSpace
+from repro.mem.frames import FrameAllocator
 
 VALUE = 4096
 
 
 def _entries(n: int = 256):
-    """Fresh values, so the writer's parts hold the only references."""
+    """Fresh (key, value) pairs."""
     return ((b"key%04d" % i, bytes([i % 251]) * VALUE) for i in range(n))
 
 
@@ -76,68 +80,74 @@ class TestRoundTrip:
         assert list(rdb.load(rdb.dump(entries))) == entries
 
 
-class TestLazyFile:
-    """``Writer.close`` neither joins nor hashes; the file does both
-    when a reader asks, with the same bytes and digest as an eager
-    join and one blake2b of it."""
+def _walk(n: int = 256) -> PageWalk:
+    """A keyspace walk over ``_entries(n)``, in an address space of its
+    own."""
+    store = KvStore(AddressSpace(FrameAllocator(), name="walked"))
+    for key, value in _entries(n):
+        store.set(key, value)
+    return PageWalk(store.mm, store.table_snapshot())
 
-    @pytest.mark.parametrize("count", [None, 256])
+
+class TestLazyFile:
+    """``dump`` of a walk neither packs, joins nor hashes; the file does
+    all three when a reader asks, with the same bytes and digest as an
+    eager join and one blake2b of it."""
+
+    @pytest.mark.parametrize("count", [0, 256])
     def test_size_and_count_are_right_before_any_read(self, count):
-        writer = rdb.Writer(count)
-        writer.write(_entries())
-        snapshot = writer.close()
+        snapshot = rdb.dump(_walk(count))
         size, entries = snapshot.size, snapshot.entry_count
-        assert entries == 256
-        assert size == len(_eager(_entries()))
+        assert entries == count
+        assert size == len(_eager(_entries(count)))
         assert len(snapshot.payload) == size
 
     def test_close_allocates_far_less_than_the_payload(self):
-        writer = rdb.Writer(256)
-        writer.write(_entries())
+        """Making the file of a walk the slices finished."""
+        walk = _walk()
+        while not walk.done:
+            walk.take(16 * VALUE)
         tracemalloc.start()
         try:
-            snapshot = writer.close()
+            snapshot = rdb.dump(walk)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < snapshot.size // 100
 
-    @pytest.mark.parametrize("count", [None, 256])
+    @pytest.mark.parametrize("count", [0, 256])
     def test_payload_and_digest_equal_an_eager_join(self, count):
-        writer = rdb.Writer(count)
-        for lo in range(0, 256, 50):  # several writes, as slices do
-            writer.write(
-                (key, value)
-                for i, (key, value) in enumerate(_entries())
-                if lo <= i < lo + 50
-            )
-        snapshot = writer.close()
-        eager = _eager(_entries())
+        walk = _walk(count)
+        walk.take(50 * VALUE)  # a few takes, as slices do
+        walk.take(50 * VALUE)
+        snapshot = rdb.dump(walk)  # takes the rest
+        eager = _eager(_entries(count))
         assert snapshot.digest == hashlib.blake2b(
             eager, digest_size=16
         ).hexdigest()
         assert snapshot.payload == eager
 
     def test_reading_the_payload_releases_the_parts(self):
+        walk = _walk()
+        snapshot = rdb.dump(walk)
+        pages = walk.pages
+        del walk
+        refs = sys.getrefcount(pages)
         tracemalloc.start()
         try:
-            writer = rdb.Writer(256)
-            writer.write(_entries())
-            snapshot = writer.close()
-            del writer
-            packed, _ = tracemalloc.get_traced_memory()
             payload = snapshot.payload
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert packed > snapshot.size
-        # The joined bytes replaced the parts: one copy is held, not two.
-        assert held < 1.2 * snapshot.size
+        # The file let go of the walk's page images ...
+        assert sys.getrefcount(pages) == refs - 1
+        # ... for the joined bytes: one copy is held, not two.
+        assert snapshot.size <= held < 1.2 * snapshot.size
         assert snapshot.payload is payload
 
     @pytest.mark.parametrize("kind", ["bitrot", "truncate"])
     def test_damage_to_a_never_read_snapshot_fails_verify(self, kind):
-        snapshot = rdb.dump(_entries(16))
+        snapshot = rdb.dump(_walk(16))
         spec = FaultSpec(site=SITE_RDB_BYTES, kind=kind, magnitude=1)
         bad = corrupt_snapshot(snapshot, spec, seeded_random(3))
         assert bad.digest == snapshot.digest
@@ -146,7 +156,7 @@ class TestLazyFile:
         rdb.verify(snapshot)
 
     def test_every_verify_hashes_the_payload_it_checks(self, monkeypatch):
-        snapshot = rdb.dump(_entries(16))
+        snapshot = rdb.dump(_walk(16))
         hashed = []
         digest = rdb._digest
         monkeypatch.setattr(

@@ -96,6 +96,20 @@ class TestCommands:
         parser.feed(replies)
         assert list(parser) == [SimpleString(b"OK"), b"1"]
 
+    @pytest.mark.parametrize("payload", [b"SRDB", b"SRDB\x01", b"SRDB\0\0\0"])
+    def test_restore_of_a_short_payload_replies_an_error(
+        self, server, payload
+    ):
+        """A payload that ends inside the count header is bad data,
+        not a crash of the command."""
+        reply = server.call([b"RESTORE", b"k", b"0", payload])
+        assert isinstance(reply, RespError)
+        assert reply.message == (
+            "ERR Bad data format: DUMP payload did not verify"
+        )
+        assert send(server, "EXISTS", "k") == 0
+        assert send(server, "PING") == b"PONG"
+
 
 class TestBackgroundJobs:
     def test_bgsave_via_protocol(self, server):

@@ -26,11 +26,11 @@ from repro.kvs import rdb
 from repro.kvs.engine import KvEngine
 from repro.kvs.resp import RespError
 from repro.kvs.server import CommandServer
-from repro.kvs.store import KvStore, PageWalk, ValueRef, page_values
+from repro.kvs.store import PageWalk, ValueRef, page_values
 from repro.mem.hugepage import HUGE_PAGE_SIZE
 from repro.obs import tracer as obs
 from repro.units import PAGE_SIZE, PTE_TABLE_SPAN, SEC
-from tests.kvs.test_items_from import (
+from tests.kvs.test_page_walk import (
     VALUES,
     _observe,
     _reference_walk,
@@ -106,28 +106,37 @@ class TestWritesBetweenSlices:
         assert sliced.entry_count == reference.entry_count == len(table)
         assert sliced.digest == reference.digest == one_shot.digest
         slices = tracer.by_name("kvs.snapshot.slice")
-        # One planning step, the slices, one closing step.
-        assert steps == len(slices) + 2
+        # One step opens the walk; every later one is a slice.
+        assert steps == len(slices) + 1
         assert sum(s.attrs["keys"] for s in slices) == len(table)
         assert sum(s.attrs["bytes"] for s in slices) == sliced.size - 8
 
-    def test_the_close_step_sizes_the_file_without_joining(self, fork_cls):
+    def test_the_close_step_sizes_the_file_without_joining(
+        self, fork_cls, monkeypatch
+    ):
+        """The reap closes the file: ``rdb.dump`` of the finished walk."""
         _, table, job = _forked(fork_cls)
-        tracemalloc.start()
-        try:
-            while not job.serialized:  # the last step closes
-                tracemalloc.reset_peak()
-                before, _ = tracemalloc.get_traced_memory()
-                job.write_slice(BUDGET)
-                _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        while not job.serialized:
+            job.write_slice(BUDGET)
+        dump, peaks = rdb.dump, []
+
+        def measured(walk):
+            tracemalloc.start()
+            try:
+                snapshot = dump(walk)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return snapshot
+
+        monkeypatch.setattr(rdb, "dump", measured)
         snapshot = job.finish().file
+        (peak,) = peaks
         size = 8 + sum(8 + len(key) + ref.length for key, ref in table.items())
         # Size and count are known before anything reads the file.
         assert snapshot.size == size
         assert snapshot.entry_count == len(table)
-        assert peak - before < size // 20
+        assert peak < size // 20
         assert len(snapshot.payload) == size
         assert snapshot.digest == hashlib.blake2b(
             snapshot.payload, digest_size=16
@@ -200,8 +209,8 @@ class TestServerWhileSliced:
             next(probes)()
             ticks += 1
         assert ticks > 5
-        # Written and closed is not reaped: the next tick reaps, before
-        # its command runs.
+        # Walked is not reaped: the next tick reaps, before its command
+        # runs.
         assert server.engine.active_job is job
         fields = info_fields(server)
         assert fields["rdb_bgsave_in_progress"] == "0"
@@ -232,7 +241,7 @@ class TestServerWhileSliced:
         assert fields["completed_snapshots"] == "0"
         assert job.failure_reason == "disk-write"
         assert not job.child.alive
-        assert job._writer is None and job._snapshot is None
+        assert job._walk is None
         assert engine.frames.allocated == frames_before
 
         assert send(server, "BGSAVE") == b"Background saving started"
@@ -312,8 +321,9 @@ def _mutate(engine: KvEngine, rng, thp_base) -> None:
 @pytest.mark.parametrize("seed", (1, 2))
 @pytest.mark.parametrize("fork_cls", ENGINES, ids=lambda cls: cls.name)
 def test_reference_file_is_the_fork_time_state(fork_cls, seed):
-    """Whatever the parent writes between slices, after the close and
-    after the reap, the file's first read packs the fork-time values."""
+    """Whatever the parent writes between slices, after the last slice
+    and after the reap, the file's first read packs the fork-time
+    values."""
     engine, thp_base = _mixed_world(fork_cls, seed)
     job = engine.bgsave()
     store = engine.store
@@ -333,7 +343,7 @@ def test_reference_file_is_the_fork_time_state(fork_cls, seed):
             slices += 1
         _mutate(engine, rng, thp_base)
     assert slices > 10
-    _mutate(engine, rng, thp_base)  # closed, not reaped
+    _mutate(engine, rng, thp_base)  # walked, not reaped
     snapshot = job.finish().file
     _mutate(engine, rng, thp_base)  # reaped, never read
     assert snapshot.size == expected.size
@@ -356,7 +366,7 @@ def test_one_shot_reference_file_is_the_fork_time_state(fork_cls):
 
 @pytest.mark.parametrize("fork_cls", ENGINES, ids=lambda cls: cls.name)
 def test_a_sliced_save_holds_page_images_not_copies(fork_cls):
-    """On a dense table, the save (plan, slices, close, reap) never
+    """On a dense table, the save (start, slices, reap) never
     holds half a table run of new memory, where copied values would
     hold the whole payload.  The first read leaves the payload plus at
     most one table run; while it joins, the parts and the payload exist
@@ -397,9 +407,10 @@ def test_a_sliced_save_holds_page_images_not_copies(fork_cls):
 def test_page_walk_reads_what_the_streaming_walk_reads(
     values, chunk_pages, budgets
 ):
-    """However a walk is cut into budgets, it makes the streaming
-    walk's ``read_pages`` calls, in order, and its extents cut out the
-    same values."""
+    """However a walk is cut into budgets, it reads the pages in the
+    key walk's first-touch order, in runs cut where the PTE table
+    changes and then every ``chunk_pages``, and its extents cut out the
+    values a value-by-value walk reads."""
     mm_a, scattered = _scattered_world()
     mm_b, _ = _scattered_world()
     base = scattered[b"a"].vaddr
@@ -407,16 +418,35 @@ def test_page_walk_reads_what_the_streaming_walk_reads(
         b"k%02d" % i: ValueRef(base + offset, length)
         for i, (offset, length) in enumerate(values)
     }
-    calls: list[list[int]] = [[], []]
-    for mm, seen in zip((mm_a, mm_b), calls):
-        real = mm.read_pages
+    order = list(
+        dict.fromkeys(
+            page
+            for ref in table.values()
+            if ref.length
+            for page in range(
+                ref.vaddr & -PAGE_SIZE, ref.vaddr + ref.length, PAGE_SIZE
+            )
+        )
+    )
+    by_table = [
+        list(run)
+        for _, run in itertools.groupby(
+            order, key=lambda page: page // PTE_TABLE_SPAN
+        )
+    ]
+    step = chunk_pages or PTE_TABLE_SPAN // PAGE_SIZE
+    runs = [
+        run[lo : lo + step] for run in by_table for lo in range(0, len(run), step)
+    ]
+    calls: list[list[int]] = []
+    real = mm_a.read_pages
 
-        def spy(pages, real=real, seen=seen):
-            seen.append(list(pages))
-            return real(pages)
+    def spy(pages):
+        calls.append(list(pages))
+        return real(pages)
 
-        mm.read_pages = spy
-    want = list(KvStore(mm_b).items_from(mm_b, table, chunk_pages))
+    mm_a.read_pages = spy
+    want = list(_reference_walk(mm_b, table))
     walk = PageWalk(mm_a, table, chunk_pages)
     got = []
     for budget in itertools.chain(budgets, itertools.repeat(None)):
@@ -426,5 +456,5 @@ def test_page_walk_reads_what_the_streaming_walk_reads(
         assert nbytes == 8 * len(keys) + sum(map(len, keys)) + lengths.sum()
         got += zip(keys, map(bytes, page_values(starts, lengths, walk.pages)))
     assert got == want
-    assert calls[0] == calls[1]
+    assert calls == runs
     assert _observe(mm_a) == _observe(mm_b)

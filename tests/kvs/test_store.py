@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import KvsError
 from repro.kernel.task import Process
-from repro.kvs.store import KvStore
+from repro.kvs.store import KvStore, PageWalk
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ class TestDirtyCounter:
 
 
 class TestChildView:
-    def test_items_from_other_mm(self, store, frames):
+    def test_page_walk_of_other_mm(self, store, frames):
         from repro.kernel.forks.default import DefaultFork
         from repro.kernel.task import Process
 
@@ -109,13 +109,9 @@ class TestChildView:
         store.set("k1", b"v1")
         store.set("k2", b"v2")
         result = DefaultFork().fork(parent)
+        table = store.table_snapshot()  # the child's inherited table
         store.set("k1", b"XY")  # same length: updates the page in place
-        items = dict(store.items_from(result.child.mm))
+        items = dict(PageWalk(result.child.mm, table).items())
         assert items[b"k1"] == b"v1"  # the child's CoW copy is untouched
         assert items[b"k2"] == b"v2"
         assert store.get("k1") == b"XY"
-
-    def test_flat_size(self, store):
-        store.set("a", b"12345")
-        store.set("b", b"1")
-        assert store.flat_size() == 6

@@ -35,7 +35,7 @@ from repro.kernel.forks.default import DefaultFork
 from repro.kernel.forks.odf import OnDemandFork
 from repro.kernel.task import Process
 from repro.kvs import rdb
-from repro.kvs.store import KvStore
+from repro.kvs.store import KvStore, PageWalk
 from repro.mem.address_space import AddressSpace
 from repro.mem.frames import FrameAllocator
 from repro.mem.vma import VmaProt
@@ -126,7 +126,7 @@ def _run_scenario_body(tracer: obs.Tracer) -> dict:
     oracle.assert_consistent(child.mm)
 
     # The child serializes the inherited keyspace (the RDB walk).
-    snapshot = rdb.dump(store.items_from(child.mm))
+    snapshot = rdb.dump(PageWalk(child.mm, store.table_snapshot()))
 
     # Default fork of the parent (post-drain state), then CoW faults.
     grandchild = DefaultFork().fork(parent).child

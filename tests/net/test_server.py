@@ -102,6 +102,27 @@ class TestCommands:
 
         serve_and_run(server, scenario)
 
+    def test_short_restore_payload_keeps_connection(self):
+        server = make_server()
+
+        async def scenario(host, port):
+            client = await AsyncRespClient.connect(host, port)
+            await client.send_raw(
+                encode_command("RESTORE", "k", "0", b"SRDB")
+                + encode_command("PING")
+            )
+            restored = await asyncio.wait_for(client.read_reply(), 5)
+            pong = await asyncio.wait_for(client.read_reply(), 5)
+            await client.close()
+            return restored, pong
+
+        restored, pong = serve_and_run(server, scenario)
+        assert isinstance(restored, RespError)
+        assert restored.message == (
+            "ERR Bad data format: DUMP payload did not verify"
+        )
+        assert pong == SimpleString(b"PONG")
+
     def test_inline_commands(self):
         server = make_server()
 
