@@ -83,8 +83,13 @@ class Mmsan:
     """Invariant auditor over the address spaces of one frame allocator."""
 
     def __init__(self, frames: FrameAllocator) -> None:
-        self.frames = frames
+        # Weak, or the runtime's weakly keyed registry never frees one.
+        self._frames = weakref.ref(frames)
         self._mms: list[weakref.ReferenceType] = []
+
+    @property
+    def frames(self) -> FrameAllocator:
+        return self._frames()
 
     # -- tracking --------------------------------------------------------
 

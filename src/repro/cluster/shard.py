@@ -9,7 +9,9 @@ redirection protocol — ``MOVED`` for keys it does not serve,
 :class:`ClusterShard` bundles the engine, the server and a
 :class:`~repro.kvs.supervisor.SnapshotSupervisor`, and records the
 snapshot windows (fork start → child persist end) the experiments use to
-split disturbed from undisturbed queries per shard.
+split disturbed from undisturbed queries per shard.  Server and
+supervisor each hear every job end from the engine; the shard takes its
+windows from the server's ``on_job_done``.
 """
 
 from __future__ import annotations
@@ -292,11 +294,10 @@ class ClusterShard:
         )
         return True
 
-    def _on_job_done(self, job, error) -> None:
-        self.supervisor.observe_completion(error)
+    def _on_job_done(self, job, reason) -> None:
         if not isinstance(job, SnapshotJob):
             return
-        if error is not None:
+        if reason is not None:
             self.snapshots_failed += 1
             self._window_start = None
             return

@@ -102,22 +102,14 @@ class CorruptAofError(KvsError, ValueError):
     """
 
 
-class SnapshotChildError(KvsError, RuntimeError):
-    """A background snapshot/rewrite child failed after the fork.
-
-    Subclasses :class:`RuntimeError` for compatibility with the previous
-    untyped failure signalling in :mod:`repro.kvs.engine`.
-    """
+class SnapshotChildError(KvsError):
+    """A background snapshot/rewrite child failed after the fork (its
+    copy died, the disk write failed, or the watchdog killed it)."""
 
     def __init__(self, message: str, *, reason: str | None = None) -> None:
         super().__init__(message)
         #: The fork session's ``failure_reason`` (e.g. ``'child-copy'``).
         self.reason = reason
-
-
-class SnapshotWatchdogError(SnapshotChildError):
-    """The supervision watchdog aborted a snapshot child that made no
-    copy progress within its step budget (a hung PTE-table lock)."""
 
 
 class WritesRefusedError(KvsError):

@@ -90,7 +90,7 @@ class AppendOnlyFile:
     # -- rewrite protocol --------------------------------------------------
 
     def begin_rewrite(self) -> None:
-        """Parent side: start buffering (called right before the fork)."""
+        """Parent side: start buffering (called right after the fork)."""
         if self.rewriting:
             raise RuntimeError("AOF rewrite already in progress")
         self.rewriting = True

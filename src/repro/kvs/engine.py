@@ -21,7 +21,10 @@ payload and digest are the same either way.
 
 The engine alone records the in-flight job (:attr:`KvEngine.active_job`,
 Redis's ``child_pid``), whoever started it, and every fork's stall in
-its ``latency`` monitor, as Redis's ``redisFork()`` does.
+its ``latency`` monitor, as Redis's ``redisFork()`` does.  It announces
+each such job's end, a rolled-back fork call included, once to its
+``job_listeners``, whoever ended it; the job's own ``step_child`` is
+the watchdog, whoever steps it.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class ForkJob:
     contract (:class:`~repro.kernel.forks.base.ForkSession` — no more
     ``getattr`` probing), and uniform retirement through
     ``session.cancel()`` so every engine undoes its sharing/marker state
-    before the child goes away.
+    before the child goes away.  ``result`` is ``None`` if the fork
+    call rolled back.
     """
 
     #: Label used in failure messages ('snapshot' / 'rewrite').
@@ -80,7 +84,7 @@ class ForkJob:
     def __init__(
         self,
         engine: "KvEngine",
-        result: ForkResult,
+        result: Optional[ForkResult],
         table: dict[bytes, ValueRef],
     ) -> None:
         self.engine = engine
@@ -89,6 +93,7 @@ class ForkJob:
         self.done = False
         #: Why the job was aborted, if it was.
         self.failure_reason: Optional[str] = None
+        self._steps = 0
 
     @property
     def child(self) -> Process:
@@ -98,15 +103,33 @@ class ForkJob:
     @property
     def failed(self) -> bool:
         """Whether the job's fork session died (§4.4) or it was aborted."""
-        session = self.result.session
-        if session is not None and session.failed:
+        if self.failure_reason is not None:
             return True
-        return self.failure_reason is not None
+        session = self.result.session
+        return session is not None and session.failed
 
     def step_child(self) -> int:
-        """Advance the child's page-table copy one step (Async-fork)."""
+        """Advance the child's page-table copy one step (Async-fork),
+        or SIGKILL the child if its copy outran the engine's
+        ``watchdog_steps`` (a hang, a lost wakeup)."""
         session = self.result.session
-        return 0 if session is None else session.child_step()
+        if session is None:
+            return 0
+        budget = self.engine.watchdog_steps
+        if budget is not None and not session.copy_done and not session.failed:
+            if self._steps > budget:
+                if obs.ACTIVE:
+                    obs.emit_instant(
+                        "kvs.watchdog.kill",
+                        obs.CAT_KVS,
+                        self.engine.clock.now,
+                        kind=self.kind,
+                        steps=self._steps,
+                    )
+                self.abort(reason="watchdog-timeout")
+                return 0
+            self._steps += 1
+        return session.child_step()
 
     @property
     def child_copy_done(self) -> bool:
@@ -150,9 +173,9 @@ class ForkJob:
         if session is not None and not session.failed and reason is not None:
             session.mark_failed(reason)
         self._retire()
-        self.done = True
 
     def _retire(self) -> None:
+        """Let the child go, free the slot and announce the end (once)."""
         session = self.result.session
         if session is not None:
             # Close two-way pointers / drop sharing and clear leftover
@@ -161,8 +184,11 @@ class ForkJob:
             session.cancel()
         if self.child.alive:
             self.child.exit()
+        self.done = True
         if self.engine._active_job is self:
             self.engine._active_job = None
+            for listener in self.engine.job_listeners:
+                listener(self)
 
 
 class SnapshotJob(ForkJob):
@@ -258,7 +284,6 @@ class SnapshotJob(ForkJob):
         except Exception:
             self.abort(reason="disk-write")
             raise
-        self._retire()
         stats = self.result.stats
         self.report = SnapshotReport(
             file=snapshot,
@@ -268,7 +293,6 @@ class SnapshotJob(ForkJob):
             table_faults=stats.table_faults,
             persist_ns=persist_ns,
         )
-        self.done = True
         if obs.ACTIVE:
             obs.emit_instant(
                 "kvs.snapshot.finish",
@@ -278,6 +302,7 @@ class SnapshotJob(ForkJob):
                 persist_ns=persist_ns,
                 tables_copied=stats.child_tables_copied,
             )
+        self._retire()
         return self.report
 
 
@@ -310,17 +335,16 @@ class RewriteJob(ForkJob):
         except Exception:
             self.abort(reason="disk-write")
             raise
-        self._retire()
-        self.done = True
         assert self.engine.aof is not None
         self.rewritten = self.engine.aof.complete_rewrite(compact)
+        self._retire()
         return self.rewritten
 
     def abort(self, reason: Optional[str] = None) -> None:
         """Tear the job down after a failure."""
-        super().abort(reason=reason)
         if self.engine.aof is not None and self.engine.aof.rewriting:
             self.engine.aof.abort_rewrite()
+        super().abort(reason=reason)
 
 
 class KvEngine:
@@ -346,6 +370,11 @@ class KvEngine:
         #: The disk the background children persist through.
         self.disk = DiskDevice()
         self._active_job: Optional[ForkJob] = None
+        #: ``fn(job)`` per retired job of the slot or rolled-back fork
+        #: call; ``job.failure_reason`` is ``None`` for a clean end.
+        self.job_listeners: list[Callable[[ForkJob], None]] = []
+        #: Set by the supervisor: the watchdog's step budget.
+        self.watchdog_steps: Optional[int] = None
         #: Redis's LATENCY framework: every fork call is a sample ([43]).
         self.latency = LatencyMonitor(threshold_ms=0.01)
         self.commands_processed = 0
@@ -538,6 +567,20 @@ class KvEngine:
         )
         return job_type(self, result, table, **job_args)
 
+    def _start_job(self, job_type: type, **job_args) -> ForkJob:
+        """Fork a job into the slot; a rolled-back fork call (§4.4) is
+        announced as a job that failed in its phase, then re-raised."""
+        try:
+            self._active_job = self._fork_job(job_type, **job_args)
+        except ForkError as exc:
+            job = job_type(self, None, {})
+            job.failure_reason = exc.phase
+            job.done = True
+            for listener in self.job_listeners:
+                listener(job)
+            raise
+        return self._active_job
+
     def bgsave(self) -> SnapshotJob:
         """Fork a child to take a point-in-time snapshot (BGSAVE)."""
         if self._active_job is not None:
@@ -550,14 +593,13 @@ class KvEngine:
                 engine=self.fork_engine.name,
                 keys=len(self.store),
             )
-        job = self._fork_job(
+        job = self._start_job(
             SnapshotJob, dirty_at_fork=self.store.dirty_since_save
         )
         # Redis resets server.dirty when the BGSAVE *starts*: writes
         # landing during the snapshot window count toward the *next*
         # save point, not the one this fork just satisfied.
         self.store.dirty_since_save = 0
-        self._active_job = job
         return job
 
     def bgrewriteaof(self) -> RewriteJob:
@@ -573,15 +615,9 @@ class KvEngine:
                 self.clock.now,
                 engine=self.fork_engine.name,
             )
-        self.aof.begin_rewrite()
-        try:
-            self._active_job = self._fork_job(RewriteJob)
-        except ForkError:
-            # The fork call rolled back: close the buffer it opened, or
-            # the next rewrite could never start.
-            self.aof.abort_rewrite()
-            raise
-        return self._active_job
+        job = self._start_job(RewriteJob)
+        self.aof.begin_rewrite()  # no write lands inside the fork call
+        return job
 
     def snapshot_worker(self) -> SnapshotJob:
         """Fork a snapshot child *outside* the single BGSAVE slot.

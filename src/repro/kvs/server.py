@@ -16,7 +16,9 @@ Ties the pieces into something shaped like a real Redis front end:
   active_job`, whoever started it) by one Async-fork copy step and, on a
   server built with ``snapshot_slice_bytes`` (the live wire server), one
   slice of the BGSAVE child's serialization, mimicking how the real
-  child runs concurrently with the event loop.
+  child runs concurrently with the event loop;
+* ``INFO``/``LASTSAVE`` job status, from the engine's announcement of
+  each job's end, whoever started, reaped or killed the job.
 """
 
 from __future__ import annotations
@@ -96,17 +98,17 @@ class CommandServer:
         #: The engine's latency monitor (``LATENCY`` reads it).
         self.latency = engine.latency
         self._last_save_ns = engine.clock.now
-        #: BGSAVEs this server reaped cleanly (``INFO``'s
+        #: The engine's BGSAVEs that ended cleanly (``INFO``'s
         #: ``completed_snapshots``).
         self.completed_snapshots = 0
         self._failed_jobs = 0
         #: ``ok`` until a background save fails (Redis's
         #: ``rdb_last_bgsave_status``); the next clean save resets it.
         self._last_bgsave_status = "ok"
-        #: Optional hook ``fn(job, error_or_None)`` fired whenever a
-        #: background job retires — the cluster shard wires supervision
-        #: and snapshot-window accounting through it.
+        #: Optional hook ``fn(job, failure_reason_or_None)`` fired once
+        #: per job end of the engine (the shard's snapshot windows).
         self.on_job_done: Optional[Callable] = None
+        engine.job_listeners.append(self._job_ended)
         #: Optional hook returning extra ``INFO`` fields; the
         #: replication layer attaches its role/offset/link section here.
         self.info_extra: Optional[Callable[[], dict]] = None
@@ -209,11 +211,9 @@ class CommandServer:
             try:
                 self.engine.bgsave()
             except ForkError:
-                # §4.4 rollback inside the fork call: bgsave() restored
-                # the dirty counter, so the save point stays due and a
-                # later cron tick retries.
-                self._failed_jobs += 1
-                self._last_bgsave_status = "err"
+                # §4.4 rollback inside the fork call: the dirty counter
+                # is intact, so a later cron tick retries.
+                pass
 
     def _job_step(self, job) -> None:
         """Write one slice of a BGSAVE child (``snapshot_slice_bytes``),
@@ -230,35 +230,26 @@ class CommandServer:
                 job.write_slice(self.snapshot_slice_bytes)
                 return
             job.finish()
-        except _JOB_ERRORS as exc:
-            self._job_retired(job, exc)
-            return
-        self._job_retired(job, None)
+        except _JOB_ERRORS:
+            pass
 
     def finish_background_job(self):
         """Drain the active background job (tests and shutdown use this)."""
         job = self.engine.active_job
-        if job is None:
-            return None
-        try:
-            outcome = job.finish()
-        except BaseException as exc:
-            self._job_retired(job, exc)
-            raise
-        self._job_retired(job, None)
-        return outcome
+        return None if job is None else job.finish()
 
-    def _job_retired(self, job, error: Optional[BaseException]) -> None:
+    def _job_ended(self, job) -> None:
         """Record how a job ended, then fire ``on_job_done``."""
+        reason = job.failure_reason
         if isinstance(job, SnapshotJob):
-            self._last_bgsave_status = "ok" if error is None else "err"
-        if error is not None:
+            self._last_bgsave_status = "ok" if reason is None else "err"
+        if reason is not None:
             self._failed_jobs += 1
         elif isinstance(job, SnapshotJob):
             self.completed_snapshots += 1
             self._last_save_ns = self.engine.clock.now
         if self.on_job_done is not None:
-            self.on_job_done(job, error)
+            self.on_job_done(job, reason)
 
     # ------------------------------------------------------------------
     # commands
@@ -468,9 +459,6 @@ class CommandServer:
         except SnapshotInProgressError:
             raise RespError("ERR Background save already in progress")
         except ForkError as exc:
-            # As serverCron's save point: the fork call rolled back.
-            self._failed_jobs += 1
-            self._last_bgsave_status = "err"
             raise RespError(f"ERR Background save failed: {exc}")
         return resp.SimpleString(b"Background saving started")
 
@@ -483,7 +471,6 @@ class CommandServer:
         except SnapshotInProgressError:
             raise RespError("ERR Background job already in progress")
         except ForkError as exc:
-            self._failed_jobs += 1
             raise RespError(f"ERR Background AOF rewrite failed: {exc}")
         return resp.SimpleString(b"Background append only file "
                                  b"rewriting started")

@@ -13,13 +13,18 @@ survival instincts, which is what the chaos experiments drive:
   outage.
 * **Watchdog** — a child whose copy threads stop making progress (an
   injected ``hang``, a lost wakeup) is SIGKILLed after a bounded number
-  of cooperative steps instead of wedging the engine forever.
+  of cooperative steps instead of wedging the engine forever, wherever
+  the job is stepped (the budget is the engine's ``watchdog_steps``).
 * **Degradation state machine** — after ``fallback_after`` consecutive
   §4.4 rollbacks the engine stops trusting Async-fork and demotes to
   the default fork (the paper's own escape hatch: ``F=0`` through the
   cgroup interface, §5.2).  The next clean snapshot re-promotes it.
   Exhausting every retry puts the engine in the writes-refused state
   until a snapshot or fsync succeeds, mirroring Redis's MISCONF.
+
+The state machine hears every job's end from the engine, whoever
+drove the job; the retry loops here only retry.  One engine has one
+supervisor.
 
 Every decision is counted in a :class:`~repro.metrics.faults.
 FaultCounters` ledger so experiments can assert "every injected fault
@@ -36,7 +41,6 @@ from repro.errors import (
     ForkError,
     SnapshotChildError,
     SnapshotInProgressError,
-    SnapshotWatchdogError,
 )
 from repro.faults.plan import FaultPlan
 from repro.kernel.forks.base import ForkEngine
@@ -50,6 +54,9 @@ from repro.units import ms
 #: Degradation modes (what `fork_engine` the engine currently runs).
 MODE_ASYNC = "async"
 MODE_FALLBACK = "fallback"
+
+#: Failures of the disk or of the whole master, not of the fork.
+_NOT_ROLLBACKS = ("disk-write", "master-sigkill")
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,7 @@ class SnapshotSupervisor:
     ) -> None:
         self.engine = engine
         self.policy = policy
-        #: Cooperative child steps before the watchdog declares a hang.
-        self.watchdog_steps = watchdog_steps
+        engine.watchdog_steps = watchdog_steps
         #: Consecutive §4.4 rollbacks that trigger the async->default
         #: demotion (the K of the degradation state machine).
         self.fallback_after = fallback_after
@@ -102,6 +108,7 @@ class SnapshotSupervisor:
             MODE_ASYNC if self._primary.name == "async" else MODE_FALLBACK
         )
         self.counters.record_mode(engine.clock.now, self.mode)
+        engine.job_listeners.append(self._job_ended)
 
     # -- supervised operations ---------------------------------------------
 
@@ -112,11 +119,11 @@ class SnapshotSupervisor:
         ``None`` after every attempt failed — at which point the engine
         is refusing writes.
         """
-        return self._supervised("snapshot")
+        return self._supervised(self.engine.bgsave)
 
     def rewrite(self) -> Optional[AppendOnlyFile]:
         """BGREWRITEAOF under the same supervision as :meth:`save`."""
-        return self._supervised("rewrite")
+        return self._supervised(self.engine.bgrewriteaof)
 
     def begin_save(self) -> Optional[ForkJob]:
         """Start a supervised BGSAVE without draining it.
@@ -124,10 +131,8 @@ class SnapshotSupervisor:
         :meth:`save` forks *and* runs the child to completion inline,
         which is right for chaos workloads but wrong for an event loop:
         serverCron (or the cluster coordinator) wants the fork call
-        supervised — retried under the backoff policy, counted toward
-        demotion — while the child is drained cooperatively, one step
-        per served command.  The caller reports the eventual outcome
-        back through :meth:`observe_completion`.
+        supervised — retried under the backoff policy — while the child
+        is drained cooperatively, one step per served command.
 
         Returns the in-flight job, or ``None`` when a job is already
         running or every fork attempt failed (writes are then refused).
@@ -137,29 +142,12 @@ class SnapshotSupervisor:
                 return self.engine.bgsave()
             except SnapshotInProgressError:
                 return None
-            except ForkError as exc:
-                # §4.4 rollback inside the fork call itself.
-                self._note_rollback(self._reason_of(exc))
+            except ForkError:
+                pass  # §4.4 rollback inside the fork call itself
             if attempt + 1 < self.policy.max_attempts:
                 self._backoff(attempt)
         self._refuse_writes()
         return None
-
-    def observe_completion(self, error: Optional[BaseException]) -> None:
-        """Feed a cooperatively-drained job's outcome to the state machine.
-
-        The counterpart of :meth:`begin_save`: serverCron reaped the job
-        and tells the supervisor whether it finished cleanly (drives
-        promotion / MISCONF clearing) or how it died (drives demotion
-        after repeated §4.4 rollbacks, or plain failure counting for
-        disk errors).
-        """
-        if error is None:
-            self._note_success()
-        elif isinstance(error, (ForkError, SnapshotChildError)):
-            self._note_rollback(self._reason_of(error))
-        else:
-            self.counters.record_job_failure(self._reason_of(error))
 
     def fsync(self) -> bool:
         """Supervised AOF fsync.
@@ -185,38 +173,23 @@ class SnapshotSupervisor:
     # -- the retry loop ----------------------------------------------------
 
     def _supervised(
-        self, kind: str
+        self, fork: Callable[[], ForkJob]
     ) -> Optional[Union[SnapshotReport, AppendOnlyFile]]:
         for attempt in range(self.policy.max_attempts):
             try:
-                outcome = self._attempt(kind)
-            except (ForkError, SnapshotChildError) as exc:
-                # A §4.4 rollback (or watchdog kill): the fork machinery
-                # itself failed, which counts toward demotion.
-                self._note_rollback(self._reason_of(exc))
-            except DiskError:
-                # The mechanism worked; the disk did not.  Retrying can
-                # help, but the failure says nothing about Async-fork.
-                self.counters.record_job_failure("disk-write")
-            else:
-                self._note_success()
-                return outcome
+                job = fork()
+                self._watch(job)
+                return job.finish()
+            except (ForkError, SnapshotChildError, DiskError):
+                pass  # the engine announced the failed job
             if attempt + 1 < self.policy.max_attempts:
                 self._backoff(attempt)
         self._refuse_writes()
         return None
 
-    def _attempt(self, kind: str) -> Union[SnapshotReport, AppendOnlyFile]:
-        job: ForkJob = (
-            self.engine.bgsave()
-            if kind == "snapshot"
-            else self.engine.bgrewriteaof()
-        )
-        self._watch(job)
-        return job.finish()
-
     def _watch(self, job: ForkJob) -> None:
-        """Drive the child cooperatively; kill it if it stops finishing."""
+        """Drive the child's copy cooperatively (``step_child`` kills a
+        hung child; ``job.finish()`` then raises)."""
         session = job.result.session
         if session is None:
             return
@@ -224,25 +197,12 @@ class SnapshotSupervisor:
         while not session.copy_done and not session.failed:
             job.step_child()
             steps += 1
-            if self.on_child_step is not None and not session.copy_done:
+            if (
+                self.on_child_step is not None
+                and not job.done
+                and not session.copy_done
+            ):
                 self.on_child_step(steps)
-            if steps > self.watchdog_steps:
-                self.counters.watchdog_kills += 1
-                if obs.ACTIVE:
-                    obs.emit_instant(
-                        "kvs.watchdog.kill",
-                        obs.CAT_KVS,
-                        self.engine.clock.now,
-                        kind=job.kind,
-                        steps=steps,
-                    )
-                job.abort(reason="watchdog-timeout")
-                raise SnapshotWatchdogError(
-                    f"{job.kind} child made no progress in "
-                    f"{self.watchdog_steps} steps; killed by watchdog",
-                    reason="watchdog-timeout",
-                )
-        # A dead session is surfaced by job.finish() -> SnapshotChildError.
 
     def _backoff(self, attempt: int) -> None:
         delay = self.policy.delay_ns(attempt)
@@ -262,6 +222,19 @@ class SnapshotSupervisor:
         self.counters.backoff_ns += delay
 
     # -- the degradation state machine -------------------------------------
+
+    def _job_ended(self, job: ForkJob) -> None:
+        """The state machine's one input: a job end the engine announced."""
+        reason = job.failure_reason
+        if reason is None:
+            self._note_success()
+        elif reason in _NOT_ROLLBACKS:
+            self.counters.record_job_failure(reason)
+        else:
+            # The fork machinery failed: that counts toward demotion.
+            if reason == "watchdog-timeout":
+                self.counters.watchdog_kills += 1
+            self._note_rollback(reason)
 
     def _note_rollback(self, reason: str) -> None:
         self.counters.record_job_failure(reason)
@@ -319,13 +292,6 @@ class SnapshotSupervisor:
             self.counters.refusal_episodes += 1
 
     # -- reading -----------------------------------------------------------
-
-    @staticmethod
-    def _reason_of(exc: Exception) -> str:
-        reason = getattr(exc, "reason", None)
-        if reason is not None:
-            return reason
-        return getattr(exc, "phase", None) or type(exc).__name__
 
     def ledger(self) -> FaultCounters:
         """The counters, synced with the plan's journal and the engine's

@@ -47,8 +47,10 @@ class ProxyFrontend(CommandServer):
         # Shard 0's engine supplies the shared clock and AOF handle the
         # net layer reads; the proxy never serves keys from it directly.
         super().__init__(proxy.cluster.shards[0].engine, save_points=())
-        # A monitor of its own: shard 0's forks are not the proxy's.
+        # A monitor of its own: shard 0's forks are not the proxy's, and
+        # neither are its jobs (shard 0's server counts those).
         self.latency = LatencyMonitor(threshold_ms=self.latency.threshold_ms)
+        self.engine.job_listeners.remove(self._job_ended)
         self.proxy = proxy
         #: Commands the frontend answers itself instead of routing.
         self._local = {

@@ -10,6 +10,9 @@ Async-fork.  :class:`ReplicationMaster` reproduces that coupling by
 running every full sync through the engine's real BGSAVE path (and the
 :class:`~repro.kvs.supervisor.SnapshotSupervisor` when one is given, so
 fork failures retry, demote, and refuse writes like any other save).
+The engine records how the sync's job ended, whoever reaps it — this
+master, or serverCron on a served engine — so the master only tracks
+its replica session.
 
 The protocol half follows PSYNC:
 
@@ -322,20 +325,15 @@ class ReplicationMaster:
         job = session.sync_job
         session.sync_job = None
         assert job is not None
-        # On a served engine serverCron may have reaped the job already
-        # and reported it; the supervisor hears each job once.
-        supervisor = None if job.done else self.supervisor
         start_ns = self.clock.now
         try:
+            # A job serverCron already reaped returns its report or
+            # raises its failure again.
             report = job.finish()
-        except Exception as exc:
-            if supervisor is not None:
-                supervisor.observe_completion(exc)
+        except Exception:
             self.full_sync_failures += 1
             self._drop_session(session)
             raise
-        if supervisor is not None:
-            supervisor.observe_completion(None)
         snapshot = report.file
         try:
             ship_ns = session.link.transfer_ns(snapshot.size, what="rdb")

@@ -51,6 +51,22 @@ class TestActivation:
         san = checkers.mmsan_for(frames)
         assert checkers.mmsan_for(frames) is san
 
+    def test_dropped_allocators_are_freed(self, checkers):
+        import gc
+        import weakref
+
+        from repro.kernel.task import Process
+        from repro.mem.frames import FrameAllocator
+
+        refs = []
+        for i in range(5):
+            frames = FrameAllocator()
+            Process(frames, name=f"dropped{i}")  # tracked on creation
+            refs.append(weakref.ref(frames))
+        del frames
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
+
     def test_new_address_spaces_are_tracked(self, checkers, frames):
         from repro.kernel.task import Process
 

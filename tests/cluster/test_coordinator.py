@@ -15,10 +15,26 @@ from repro.cluster.coordinator import (
     make_policy,
 )
 from repro.core.async_fork import AsyncFork
-from repro.errors import ForkError
+from repro.errors import SnapshotChildError
+from repro.faults import SITE_CHILD_COPY, SITE_FRAME_ALLOC, FaultPlan, FaultSpec
 from repro.kvs.engine import KvEngine
 from repro.kvs.supervisor import MODE_FALLBACK, SnapshotSupervisor
 from repro.units import ms
+
+
+def kill_children(engine, count: int) -> None:
+    """End ``count`` BGSAVEs with a child sigkilled mid-copy (§4.4 case
+    2): real job ends, each announced to the engine's listeners."""
+    engine.attach_fault_plan(
+        FaultPlan(seed=0, specs=[
+            FaultSpec(site=SITE_CHILD_COPY, kind="sigkill", count=count)
+        ])
+    )
+    for _ in range(count):
+        job = engine.bgsave()
+        with pytest.raises(SnapshotChildError):
+            job.finish()
+    engine.attach_fault_plan(None)
 
 
 class TestSimultaneousPolicy:
@@ -188,10 +204,7 @@ class TestDemotedShardScheduling:
                 shard.engine.set(b"k:%05d" % i, b"v" * 4096)
         # Shard 0 rolled back too often: the supervisor demoted it.
         demoted = cluster.shards[0]
-        for _ in range(demoted.supervisor.fallback_after):
-            demoted.supervisor.observe_completion(
-                ForkError("injected", phase="child-copy")
-            )
+        kill_children(demoted.engine, demoted.supervisor.fallback_after)
         assert demoted.mode == MODE_FALLBACK
         assert demoted.engine.fork_engine.name == "default"
         assert cluster.shards[1].mode == "async"
@@ -225,7 +238,6 @@ class TestCooperativeSupervision:
         assert job is not None
         assert engine.active_job is job
         report = job.finish()
-        supervisor.observe_completion(None)
         assert report.file.entry_count == 1
         assert supervisor.consecutive_rollbacks == 0
 
@@ -239,19 +251,32 @@ class TestCooperativeSupervision:
 
     def test_repeated_rollbacks_demote_the_engine(self):
         engine = KvEngine(fork_engine=AsyncFork())
+        engine.set("k", b"v")
         supervisor = SnapshotSupervisor(engine, fallback_after=3)
-        for _ in range(3):
-            supervisor.observe_completion(
-                ForkError("injected", phase="child-copy")
-            )
+        kill_children(engine, 3)
+        assert supervisor.counters.job_failures == {"injected:sigkill": 3}
         assert supervisor.mode == MODE_FALLBACK
         assert engine.fork_engine.name == "default"
 
     def test_clean_completion_repromotes(self):
         engine = KvEngine(fork_engine=AsyncFork())
+        engine.set("k", b"v")
         supervisor = SnapshotSupervisor(engine, fallback_after=1)
-        supervisor.observe_completion(ForkError("boom", phase="parent-copy"))
+        # The first fork call rolls back (§4.4 case 1) and demotes; the
+        # retry forks with the default engine.
+        engine.attach_fault_plan(
+            FaultPlan(seed=0, specs=[
+                FaultSpec(
+                    site=SITE_FRAME_ALLOC,
+                    kind="oom",
+                    count=1,
+                    match=lambda d: d["purpose"].endswith("-table"),
+                )
+            ])
+        )
+        job = supervisor.begin_save()
+        assert supervisor.counters.job_failures == {"parent-copy": 1}
         assert supervisor.mode == MODE_FALLBACK
-        supervisor.observe_completion(None)
+        job.finish()
         assert supervisor.mode == "async"
         assert engine.fork_engine.name == "async"

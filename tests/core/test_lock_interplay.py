@@ -78,7 +78,9 @@ class TestEngineAbortPaths:
         try:
             import pytest
 
-            with pytest.raises(RuntimeError, match="snapshot child"):
+            from repro.errors import SnapshotChildError
+
+            with pytest.raises(SnapshotChildError, match="snapshot child"):
                 job.finish()
         finally:
             frames.attach_fault_plan(None)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import struct
-import sys
 import tracemalloc
 
 import pytest
@@ -128,20 +128,20 @@ class TestLazyFile:
         assert snapshot.payload == eager
 
     def test_reading_the_payload_releases_the_parts(self):
-        walk = _walk()
-        snapshot = rdb.dump(walk)
-        pages = walk.pages
-        del walk
-        refs = sys.getrefcount(pages)
         tracemalloc.start()
         try:
+            walk = _walk()
+            snapshot = rdb.dump(walk)
+            del walk
+            gc.collect()  # the walked address space holds cycles
+            packed, _ = tracemalloc.get_traced_memory()
             payload = snapshot.payload
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The file let go of the walk's page images ...
-        assert sys.getrefcount(pages) == refs - 1
-        # ... for the joined bytes: one copy is held, not two.
+        assert packed > snapshot.size
+        # The file let go of the walk's page images for the joined
+        # bytes: one copy is held, not two.
         assert snapshot.size <= held < 1.2 * snapshot.size
         assert snapshot.payload is payload
 

@@ -327,9 +327,7 @@ class TestFullSyncOnAServedEngine:
 
     @pytest.mark.parametrize("outcome", ["clean", "sigkill"])
     @pytest.mark.parametrize("reaper", ["server", "master"])
-    def test_supervisor_hears_each_job_once(
-        self, monkeypatch, reaper, outcome
-    ):
+    def test_supervisor_hears_each_job_once(self, reaper, outcome):
         plan = None
         if outcome == "sigkill":
             plan = FaultPlan(seed=0)
@@ -337,11 +335,8 @@ class TestFullSyncOnAServedEngine:
         master, shard, session = self.served_master(plan)
         supervisor = master.supervisor
         heard = []
-        observe = supervisor.observe_completion
-        monkeypatch.setattr(
-            supervisor,
-            "observe_completion",
-            lambda error: (heard.append(error), observe(error)),
+        master.engine.job_listeners.append(
+            lambda job: heard.append(job.failure_reason)
         )
         job = master.begin_full_sync(session)
         if reaper == "server":
@@ -360,6 +355,53 @@ class TestFullSyncOnAServedEngine:
         assert job.done
         assert len(heard) == 1
         assert (heard[0] is None) == (outcome == "clean")
+        if outcome == "clean":
+            assert supervisor.counters.job_failures == {}
+        else:
+            assert supervisor.counters.job_failures == {
+                "injected:sigkill": 1
+            }
+            assert supervisor.consecutive_rollbacks == 1
+        session.node.close()
+
+    @staticmethod
+    def info(shard) -> dict:
+        text = bytes(shard.server.call([b"INFO"])).decode()
+        return dict(line.split(":", 1) for line in text.split("\r\n") if line)
+
+    @pytest.mark.parametrize("reaper", ["server", "master"])
+    def test_full_sync_counts_the_same_whoever_reaps(self, reaper):
+        master, shard, session = self.served_master()
+        job = master.begin_full_sync(session)
+        if reaper == "server":
+            while not job.done:
+                shard.server.call([b"PING"])
+        report = None
+        while report is None:
+            report = master.step_full_sync(session)
+        info = self.info(shard)
+        assert info["completed_snapshots"] == "1"
+        assert info["rdb_last_bgsave_status"] == "ok"
+        assert info["failed_background_jobs"] == "0"
+        assert len(shard.snapshot_windows) == 1
+        session.node.close()
+
+    def test_kill_mid_sync_is_recorded_once(self):
+        master, shard, session = self.served_master()
+        master.begin_full_sync(session)
+        master.kill()
+        for _ in range(3):
+            shard.server.call([b"PING"])
+        info = self.info(shard)
+        assert info["rdb_last_bgsave_status"] == "err"
+        assert info["failed_background_jobs"] == "1"
+        assert info["completed_snapshots"] == "0"
+        assert master.supervisor.counters.job_failures == {
+            "master-sigkill": 1
+        }
+        # The master died; the fork mechanism did not fail.
+        assert master.supervisor.consecutive_rollbacks == 0
+        assert shard.snapshots_failed == 1
         session.node.close()
 
     def test_finish_on_an_aborted_job_raises_its_reason(self):
